@@ -334,7 +334,10 @@ fn fig_phases() {
 
 /// Checkpoint-stall sweep (beyond the paper): per-commit latency while
 /// the WAL rotates at every commit, background vs stop-the-world, across
-/// store sizes. Emits `BENCH_checkpoint.json`. The headline shape: the
+/// store sizes. Emits `BENCH_checkpoint.json`. Background is the
+/// catalog's own rotation (the policy firing at every commit);
+/// stop-the-world is an explicit synchronous `snapshot()` after every
+/// commit, timed with it. The headline shape: the
 /// stop-the-world during-rotation latency grows linearly with the store
 /// (each rotation encodes + fsyncs the whole snapshot inline, ~10× the
 /// background p50 at the largest size here) while background rotation
@@ -368,11 +371,8 @@ fn fig_checkpoint() {
     let dir = std::env::temp_dir().join(format!("xqview-figckpt-{}", std::process::id()));
     let mut rows = Vec::new();
     for books in [200usize, 800, 2400] {
-        for (label, mode) in [
-            ("background", viewsrv::CheckpointMode::Background),
-            ("stop-the-world", viewsrv::CheckpointMode::StopTheWorld),
-        ] {
-            let p = measure_checkpoint(books, n_views, mode, &dir);
+        for (label, stop_the_world) in [("background", false), ("stop-the-world", true)] {
+            let p = measure_checkpoint(books, n_views, stop_the_world, &dir);
             // How much worse a during-rotation commit is than steady state.
             let ratio = p.during_p99.as_secs_f64() / p.steady_p99.as_secs_f64().max(1e-9);
             println!(
@@ -536,7 +536,8 @@ fn fig_recovery() {
 }
 
 /// Ingestion-front sweep (beyond the paper): one `apply_update_script`
-/// call per unit update vs the typed/queued `CatalogSession` path, over
+/// call per unit update vs the typed/queued path — the units submitted
+/// through one `IngestHub` session and applied by its `commit` — over
 /// growing coalescing windows. `window 1` isolates the typed-batch parse-
 /// once savings; larger windows add the amortized shared-validate and
 /// per-view refresh.

@@ -306,12 +306,13 @@ pub struct IngestPoint {
     /// One `apply_update_script` call per unit script (parse + resolve +
     /// shared validate + routed refresh, per call).
     pub per_call: Duration,
-    /// The same units parsed once into typed batches and streamed through a
-    /// [`viewsrv::CatalogSession`] with a coalescing window.
+    /// The same units parsed once into typed batches, submitted through
+    /// one [`viewsrv::IngestHub`] session and applied by its `commit` with
+    /// a coalescing window.
     pub session: Duration,
-    /// Submissions the session accepted.
+    /// Submissions the hub session accepted.
     pub submissions: usize,
-    /// Coalesced applications the session performed.
+    /// Coalesced applications the commit performed.
     pub applications: usize,
 }
 
@@ -323,8 +324,10 @@ pub fn ingest_units(cfg: &datagen::BibConfig, n: usize) -> Vec<String> {
 }
 
 /// Maintain `queries` under `units` two ways — one script call per unit vs
-/// a session coalescing typed batches under `window_ops` — timing both and
-/// asserting identical extents plus the recompute oracle.
+/// a hub session coalescing typed batches under `window_ops` — timing both
+/// and asserting identical extents plus the recompute oracle. The hub is
+/// started before the clock (a service's hub is long-lived) and its time
+/// window outlives the run, so `commit` alone decides the coalescing.
 pub fn measure_ingest(
     store: &Store,
     queries: &[(String, String)],
@@ -342,21 +345,30 @@ pub fn measure_ingest(
     }
     let per_call = t0.elapsed();
 
-    // Ingestion front: parse once, stream through a bounded session.
+    // Ingestion front: parse once, stream through a bounded hub session.
     let mut session_cat = viewsrv::ViewCatalog::new(store.clone());
     for (name, q) in queries {
         session_cat.register(name, q).expect("view registers");
     }
     let batches: Vec<viewsrv::UpdateBatch> =
         units.iter().map(|u| viewsrv::UpdateBatch::from_script(u).expect("unit parses")).collect();
+    let hub = session_cat.into_hub(viewsrv::HubConfig {
+        queue_capacity: units.len().max(1),
+        window_ops,
+        window_ms: 60_000,
+        ..viewsrv::HubConfig::default()
+    });
+    let session = hub.handle();
     let t0 = Instant::now();
-    let mut session = session_cat
-        .session(viewsrv::SessionConfig { queue_capacity: units.len().max(1), window_ops });
     for b in batches {
         session.try_submit(b).expect("capacity covers the workload");
     }
     let receipt = session.commit().expect("session maintenance");
     let session_time = t0.elapsed();
+    drop(session);
+    let viewsrv::HubInner::Volatile(session_cat) = hub.shutdown() else {
+        unreachable!("the hub was started volatile")
+    };
 
     for (name, _) in queries {
         assert_eq!(
@@ -444,7 +456,8 @@ pub fn measure_recovery(
 }
 
 /// Outcome of one checkpoint-stall measurement at a fixed store size and
-/// [`viewsrv::CheckpointMode`].
+/// checkpointer (background rotation or a synchronous snapshot per
+/// commit).
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointPoint {
     /// Median per-commit latency with rotation disabled.
@@ -471,13 +484,17 @@ fn percentile(sorted: &[Duration], p: usize) -> Duration {
 
 /// Build a durable catalog of `n_views` views over a `books`-book store,
 /// measure per-commit latency in steady state (no rotation), then force a
-/// checkpoint at every commit under `mode` and measure again. Asserts the
-/// recompute oracle at the end (every bench doubles as a correctness
-/// check). The directory is created and removed.
+/// checkpoint at every commit and measure again. The checkpoint is the
+/// catalog's background rotation (the [`viewsrv::RotatePolicy`] firing at
+/// every commit) or, with `stop_the_world`, an explicit synchronous
+/// [`viewsrv::DurableCatalog::snapshot`] after every commit, inside the
+/// timed region with rotation disabled. Asserts the recompute oracle at
+/// the end (every bench doubles as a correctness check). The directory is
+/// created and removed.
 pub fn measure_checkpoint(
     books: usize,
     n_views: usize,
-    mode: viewsrv::CheckpointMode,
+    stop_the_world: bool,
     dir: &std::path::Path,
 ) -> CheckpointPoint {
     let _ = std::fs::remove_dir_all(dir);
@@ -509,7 +526,6 @@ pub fn measure_checkpoint(
     for (name, q) in &queries {
         cat.register(name, q).expect("register view");
     }
-    cat.set_checkpoint_mode(mode);
     // A private two-lane pool guarantees the background job really runs
     // on another thread even under `XQVIEW_POOL_THREADS=1` or on a
     // single-core runner (a one-lane pool degrades spawn to inline, which
@@ -517,17 +533,20 @@ pub fn measure_checkpoint(
     cat.set_checkpoint_pool(exec::Executor::new(2));
     let store_nodes = cat.store().total_nodes();
     let commits = 30usize;
-    let commit_once = |cat: &mut viewsrv::DurableCatalog, i: usize| -> Duration {
+    let commit_once = |cat: &mut viewsrv::DurableCatalog, i: usize, snapshot: bool| -> Duration {
         let script = datagen::insert_books_script(&cfg, 5000 + i, 1, Some(1900));
         let batch = viewsrv::UpdateBatch::from_script(&script).expect("workload parses");
         let t0 = Instant::now();
         let _ = cat.apply_batch(&batch).expect("journaled commit");
+        if snapshot {
+            let _ = cat.snapshot().expect("stop-the-world checkpoint");
+        }
         t0.elapsed()
     };
 
     // Phase hygiene (the BENCH_checkpoint anomaly): document loads and
-    // view registration themselves checkpoint, and in Background mode
-    // the detached encode job can still hold the captured store/extent
+    // view registration themselves checkpoint, and a background rotation's
+    // detached encode job can still hold the captured store/extent
     // Arcs when the first "steady" commits run — those commits then pay
     // the one-time copy-on-write unshare of every touched document,
     // which used to leak setup cost into steady_p99 (background's
@@ -537,18 +556,21 @@ pub fn measure_checkpoint(
     cat.set_rotate_policy(viewsrv::RotatePolicy::disabled());
     cat.settle_checkpoint();
     for i in 0..4 {
-        let _ = commit_once(&mut cat, 20_000 + i);
+        let _ = commit_once(&mut cat, 20_000 + i, false);
     }
 
     // Steady state: rotation disabled, every commit is append+apply+fsync.
-    let mut steady: Vec<Duration> = (0..commits).map(|i| commit_once(&mut cat, i)).collect();
+    let mut steady: Vec<Duration> = (0..commits).map(|i| commit_once(&mut cat, i, false)).collect();
 
-    // Rotation-heavy: the policy fires at every commit, so each latency
-    // sample includes whatever the mode's checkpointer does inline.
+    // Rotation-heavy: a checkpoint at every commit, so each latency sample
+    // includes whatever the checkpointer does inline — the background
+    // rotation's capture + seal, or the whole synchronous snapshot.
     let gen_before = cat.generation();
-    cat.set_rotate_policy(viewsrv::RotatePolicy::records(1));
+    if !stop_the_world {
+        cat.set_rotate_policy(viewsrv::RotatePolicy::records(1));
+    }
     let mut during: Vec<Duration> =
-        (commits..2 * commits).map(|i| commit_once(&mut cat, i)).collect();
+        (commits..2 * commits).map(|i| commit_once(&mut cat, i, stop_the_world)).collect();
     let rotations = cat.generation() - gen_before;
     assert!(rotations > 0, "the forced policy must rotate");
     cat.settle_checkpoint();

@@ -7,7 +7,7 @@
 use client::Client;
 use server::{Server, ServerConfig};
 use std::time::{Duration, Instant};
-use viewsrv::{HubConfig, UpdateBatch, ViewCatalog};
+use viewsrv::{HubConfig, HubFailpoint, UpdateBatch, ViewCatalog};
 use xmlstore::Store;
 
 fn bib_cfg() -> datagen::BibConfig {
@@ -34,7 +34,7 @@ fn connect(srv: &Server, name: &str) -> Client {
 }
 
 /// The wedged-writer regression: the first drain round stalls for 3 s
-/// with the catalog checked out (the `inject_round_stall_ms` failpoint —
+/// with the catalog checked out (the `HubFailpoint::StallMs` failpoint —
 /// a checkpoint or apply wedge). On the old design `Stats`, `QueryView`,
 /// and `Hello` all blocked behind that checkout; on the epoch path they
 /// must answer from the last published snapshot in well under the stall.
@@ -45,7 +45,7 @@ fn wedged_writer_does_not_block_reads() {
     let oracle_bytes = fresh_catalog(&cfg).extent_bytes("y1900").unwrap();
 
     let hub = fresh_catalog(&cfg).into_hub(HubConfig {
-        inject_round_stall_ms: STALL_MS,
+        failpoint: Some(HubFailpoint::StallMs(STALL_MS)),
         // Drain immediately so the committer's round (and the stall)
         // starts as soon as the batch lands.
         window_ms: 0,

@@ -29,12 +29,15 @@
 //! └─────────┴──────────┴──────────────────────────────┴───────────┘
 //! ```
 //!
-//! Appends are sequential and synced before the batch is applied
-//! (**append-then-apply**), so at any crash point the log holds every
-//! applied batch plus at most one torn record, which recovery discards
-//! ([`wire::frame::FrameRead::Torn`]). A batch whose application fails is
-//! rolled back out of the log, keeping the invariant *log contents ==
-//! applied batches*.
+//! Every data commit — [`DurableCatalog::apply_batch`] and each chunk an
+//! [`crate::IngestHub`] drain round applies — follows one protocol:
+//! **append, apply, then a group fsync** (leader/follower), acknowledged
+//! only once the fsync covers its record. At any crash point the log
+//! therefore holds every acknowledged batch, possibly some applied but
+//! unacknowledged ones, and at most one torn record, which recovery
+//! discards ([`wire::frame::FrameRead::Torn`]). A batch whose application
+//! fails is rolled back out of the log, keeping the invariant *log
+//! contents == applied batches*.
 //!
 //! # Files
 //!
@@ -55,8 +58,8 @@
 //! # Background checkpointing
 //!
 //! Data-path rotations (the [`RotatePolicy`] firing under commits or hub
-//! rounds) do **not** stop the world. In the default
-//! [`CheckpointMode::Background`], a rotation:
+//! rounds) do **not** stop the world ([`DurableCatalog::checkpoint`]). A
+//! rotation:
 //!
 //! 1. captures a [`Snapshot`] of the current state in O(documents) time
 //!    (the store's node maps are Arc-shared copy-on-write —
@@ -106,7 +109,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::{BatchReceipt, CatalogError, CatalogSession, SessionConfig, UpdateBatch, ViewCatalog};
+use crate::{BatchReceipt, CatalogError, UpdateBatch, ViewCatalog};
 use flexkey::FlexKey;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -475,33 +478,6 @@ impl Wal {
         self.file.try_clone()
     }
 
-    /// The journaled commit sequence — the single implementation behind
-    /// both [`DurableCatalog::apply_batch`] and journaled
-    /// [`CatalogSession`] flushes: append + sync (the durability point),
-    /// then apply, rolling the record back out of the log if application
-    /// fails. Keeps the invariant *log contents == applied batches*.
-    pub(crate) fn commit_batch(
-        &mut self,
-        catalog: &mut ViewCatalog,
-        batch: &UpdateBatch,
-    ) -> Result<BatchReceipt, CommitError> {
-        let rollback = self.append(batch).map_err(CommitError::Journal)?;
-        self.sync().map_err(CommitError::Journal)?;
-        match catalog.apply_batch(batch) {
-            Ok(receipt) => Ok(receipt),
-            Err(e) => {
-                let records = self.records().saturating_sub(1);
-                if let Err(io) = self.truncate_to(rollback, records) {
-                    // The log now holds a record the catalog rejected and
-                    // we cannot remove: surface the I/O failure (recovery
-                    // will retry the record, fail again, and truncate it).
-                    return Err(CommitError::Journal(io));
-                }
-                Err(CommitError::Catalog(e))
-            }
-        }
-    }
-
     /// Count the committed (decodable) batch records in the log at `path`
     /// without opening it for writing or truncating anything — the
     /// read-only probe [`DurableCatalog::open`] uses before deciding a
@@ -543,15 +519,6 @@ impl Wal {
         }
         Ok(None)
     }
-}
-
-/// Failure of one journaled commit ([`Wal::commit_batch`]).
-pub(crate) enum CommitError {
-    /// Journaling failed; nothing was applied.
-    Journal(std::io::Error),
-    /// The journaled batch failed to apply and was rolled back out of the
-    /// log.
-    Catalog(CatalogError),
 }
 
 /// Group-commit accounting handles, registered as the `wal/fsyncs` and
@@ -707,9 +674,7 @@ impl GroupCommit {
 /// replay after a long uptime" hole without the operator scheduling
 /// checkpoints. Rotation points: every direct
 /// [`DurableCatalog::apply_batch`] commit, every hub drain round's
-/// durability point, every [`DurableCatalog::session`] opening (the
-/// borrowed session itself cannot rotate while it holds the log), and
-/// [`DurableCatalog::open`].
+/// durability point, and [`DurableCatalog::open`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RotatePolicy {
     /// Rotate once the tail holds this many records.
@@ -762,23 +727,6 @@ pub struct RecoveryReport {
     pub chained_segments: usize,
     /// True when the directory held no snapshot at all (fresh catalog).
     pub fresh: bool,
-}
-
-/// How [`DurableCatalog`] runs data-path checkpoints (the rotations
-/// triggered by [`RotatePolicy`]; explicit [`DurableCatalog::snapshot`]
-/// calls and administrative mutations are always synchronous).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// Seal the generation, switch commits to the next log immediately,
-    /// and encode + fsync the snapshot on a detached [`exec`] pool job —
-    /// producers never wait for O(store) work.
-    #[default]
-    Background,
-    /// The pre-chaining behavior: write the snapshot inline, stalling
-    /// whoever triggered the rotation for the full encode + fsync (kept
-    /// as the `fig_checkpoint` baseline and for environments that want
-    /// strictly serial I/O).
-    StopTheWorld,
 }
 
 /// A background checkpoint in flight: its target generation and the
@@ -852,7 +800,6 @@ pub struct DurableCatalog {
     gc: Arc<GroupCommit>,
     m: DurMetrics,
     rotate: RotatePolicy,
-    mode: CheckpointMode,
     /// Pool the background checkpoint job runs on (the shared global pool
     /// unless pinned by [`DurableCatalog::set_checkpoint_pool`]).
     ckpt_pool: exec::Executor,
@@ -1137,7 +1084,6 @@ impl DurableCatalog {
             gc,
             m,
             rotate: RotatePolicy::default(),
-            mode: CheckpointMode::default(),
             ckpt_pool: exec::Executor::global().clone(),
             pending: None,
             last_ckpt_error: None,
@@ -1327,16 +1273,6 @@ impl DurableCatalog {
         self.rotate
     }
 
-    /// Replace the checkpoint execution mode (see [`CheckpointMode`]).
-    pub fn set_checkpoint_mode(&mut self, mode: CheckpointMode) {
-        self.mode = mode;
-    }
-
-    /// The active checkpoint execution mode.
-    pub fn checkpoint_mode(&self) -> CheckpointMode {
-        self.mode
-    }
-
     /// Pin background checkpoint jobs to `pool` instead of the shared
     /// global one (tests and benches control scheduling this way; a
     /// one-lane pool makes background checkpoints run inline —
@@ -1395,8 +1331,8 @@ impl DurableCatalog {
         self.last_ckpt_error = Some(msg);
     }
 
-    /// Checkpoint now if the WAL tail has reached the rotation bounds,
-    /// routed through the mode's checkpointer. Returns the new generation
+    /// Checkpoint now (through [`DurableCatalog::checkpoint`]) if the WAL
+    /// tail has reached the rotation bounds. Returns the new generation
     /// when a rotation happened (`None` also while a background
     /// checkpoint is still in flight — the tail keeps growing and the
     /// next durability point retries).
@@ -1405,10 +1341,7 @@ impl DurableCatalog {
         if !self.rotate.reached(self.wal.records(), self.wal.bytes()) {
             return Ok(None);
         }
-        match self.mode {
-            CheckpointMode::StopTheWorld => Ok(Some(self.snapshot()?)),
-            CheckpointMode::Background => self.checkpoint(),
-        }
+        self.checkpoint()
     }
 
     /// The non-stalling checkpointer: seal the current generation, open
@@ -1487,23 +1420,6 @@ impl DurableCatalog {
         });
         self.pending = Some(PendingCheckpoint { gen: new, job });
         Ok(Some(new))
-    }
-
-    /// Open a journaled ingestion session: every coalesced chunk a flush
-    /// applies is appended and synced first, making
-    /// [`CatalogSession::commit`] the durability boundary.
-    ///
-    /// The borrowed session journals directly (its fsyncs are per-chunk,
-    /// not group-coalesced, and invisible to
-    /// [`DurableCatalog::wal_sync_stats`]) and cannot checkpoint while it
-    /// holds the log — the [`RotatePolicy`] is instead enforced *here*,
-    /// at the session boundary, so session-driven ingestion re-bounds the
-    /// tail every time a session is opened. Multi-writer services should
-    /// prefer [`DurableCatalog::into_hub`], which rotates at every
-    /// durability point.
-    pub fn session(&mut self, config: SessionConfig) -> CatalogSession<'_> {
-        let _ = self.maybe_rotate();
-        self.catalog.session_journaled(config, &mut self.wal)
     }
 
     /// Rotate to a new checkpoint generation **synchronously**: write a
@@ -1893,7 +1809,6 @@ mod tests {
         cat.register("titles", TITLES).unwrap();
         let (pool, release) = blocked_pool();
         cat.set_checkpoint_pool(pool);
-        assert_eq!(cat.checkpoint_mode(), CheckpointMode::Background);
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(0))).unwrap();
 
         let sealed_gen = cat.generation();
@@ -2048,23 +1963,22 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Stop-the-world mode keeps the old synchronous semantics: rotation
-    /// returns with the snapshot already durable, nothing in flight.
-    #[test]
-    fn stop_the_world_mode_checkpoints_inline() {
-        let dir = temp_dir("stw");
-        let mut cat = DurableCatalog::open(&dir).unwrap();
-        cat.load_doc("bib.xml", BIB).unwrap();
-        cat.register("titles", TITLES).unwrap();
-        cat.set_checkpoint_mode(CheckpointMode::StopTheWorld);
-        cat.set_rotate_policy(RotatePolicy::records(2));
-        for i in 0..5 {
-            let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(i))).unwrap();
-            assert!(!cat.checkpoint_in_flight());
-            assert_eq!(cat.snapshot_generation(), cat.generation());
+    /// A durable hub that never drains in the background: `commit()`
+    /// alone decides the coalescing.
+    fn commit_only_hub(cat: DurableCatalog, window_ops: usize) -> crate::IngestHub {
+        cat.into_hub(crate::HubConfig {
+            queue_capacity: 8,
+            window_ops,
+            window_ms: 60_000,
+            ..crate::HubConfig::default()
+        })
+    }
+
+    fn shutdown_durable(hub: crate::IngestHub) -> DurableCatalog {
+        match hub.shutdown() {
+            crate::HubInner::Durable(cat) => cat,
+            crate::HubInner::Volatile(_) => unreachable!("the hub was started durable"),
         }
-        cat.verify_all().unwrap();
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2073,13 +1987,16 @@ mod tests {
         let mut cat = DurableCatalog::open(&dir).unwrap();
         cat.load_doc("bib.xml", BIB).unwrap();
         cat.register("titles", TITLES).unwrap();
-        let mut session = cat.session(SessionConfig { queue_capacity: 8, window_ops: 4 });
+        let hub = commit_only_hub(cat, 4);
+        let writer = hub.handle();
         for i in 0..6 {
-            session.try_submit(UpdateBatch::new().with(insert_op(i))).unwrap();
+            writer.try_submit(UpdateBatch::new().with(insert_op(i))).unwrap();
         }
-        let receipt = session.commit().unwrap();
+        let receipt = writer.commit().unwrap();
         assert_eq!(receipt.batches_submitted, 6);
         assert!(receipt.batches_applied < 6, "windows coalesced");
+        drop(writer);
+        let cat = shutdown_durable(hub);
         // The WAL holds the *applied* chunks, not the submissions.
         assert_eq!(cat.wal_records(), receipt.batches_applied);
         let want = cat.extent_xml("titles").unwrap();
@@ -2097,15 +2014,17 @@ mod tests {
         let mut cat = DurableCatalog::open(&dir).unwrap();
         cat.load_doc("bib.xml", BIB).unwrap();
         cat.register("titles", TITLES).unwrap();
-        let mut session = cat.session(SessionConfig { queue_capacity: 8, window_ops: 16 });
+        let hub = commit_only_hub(cat, 16);
+        let writer = hub.handle();
         let bad = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, "<unclosed").unwrap();
-        session.try_submit(UpdateBatch::new().with(insert_op(0))).unwrap();
-        session.try_submit(UpdateBatch::new().with(bad)).unwrap();
-        let err = session.commit().unwrap_err();
+        writer.try_submit(UpdateBatch::new().with(insert_op(0))).unwrap();
+        writer.try_submit(UpdateBatch::new().with(bad)).unwrap();
+        let err = writer.commit().unwrap_err();
         assert!(matches!(err, IngestError::Catalog(_)));
-        assert_eq!(session.queued_batches(), 1, "failing chunk requeued");
-        session.discard_queued();
-        drop(session);
+        assert_eq!(writer.queued_batches(), 1, "failing chunk requeued");
+        writer.discard_queued();
+        drop(writer);
+        let cat = shutdown_durable(hub);
         assert_eq!(cat.wal_records(), 0, "failed chunk rolled back out of the log");
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();

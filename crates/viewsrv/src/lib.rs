@@ -38,8 +38,9 @@
 //!
 //! Updates arrive as **typed** [`UpdateBatch`]es ([`ViewCatalog::apply_batch`]
 //! returns a structured [`BatchReceipt`]); the [`session`] module adds the
-//! queued ingestion front ([`CatalogSession`]) with a bounded queue,
-//! coalescing window, and explicit backpressure. The [`epoch`] module is
+//! ingestion front — an [`IngestHub`] of producer [`SessionHandle`]s with
+//! bounded queues, a coalescing window, and explicit backpressure — over a
+//! volatile or a [`DurableCatalog`]. The [`epoch`] module is
 //! the matching **read** front: the hub publishes a frozen
 //! `(Store, extents)` [`Epoch`] after every applied round, and any number
 //! of [`ReadHandle`]s serve queries from it with zero locks and zero
@@ -50,14 +51,13 @@ pub mod epoch;
 pub mod session;
 
 pub use durability::{
-    CheckpointMode, DurabilityError, DurableCatalog, RecoveryReport, RotatePolicy, Snapshot,
-    SnapshotView, Wal, WalSyncStats,
+    DurabilityError, DurableCatalog, RecoveryReport, RotatePolicy, Snapshot, SnapshotView, Wal,
+    WalSyncStats,
 };
 pub use epoch::{DurableMarks, Epoch, EpochPublisher, ReadHandle};
 use flexkey::FlexKey;
 pub use session::{
-    CatalogSession, HubConfig, HubInner, IngestError, IngestHub, SessionConfig, SessionHandle,
-    SessionReceipt,
+    HubConfig, HubFailpoint, HubInner, IngestError, IngestHub, SessionHandle, SessionReceipt,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -188,7 +188,7 @@ pub struct BatchReceipt {
     /// Update primitives the ops resolved to (one op can bind many nodes).
     pub resolved: usize,
     /// Submitted batches coalesced into this application (1 for a direct
-    /// [`ViewCatalog::apply_batch`]; ≥ 1 through a [`CatalogSession`]).
+    /// [`ViewCatalog::apply_batch`]; ≥ 1 through an [`IngestHub`]).
     pub coalesced_from: usize,
     /// Names of the views the batch was routed to (relevancy-touched), in
     /// registration order.

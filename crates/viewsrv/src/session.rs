@@ -1,4 +1,4 @@
-//! The queued ingestion front: [`CatalogSession`].
+//! The ingestion front: [`IngestHub`].
 //!
 //! `ViewCatalog::apply_batch` is synchronous — one caller, one batch, one
 //! routed refresh. A production ingestion path instead has **many writers
@@ -7,32 +7,37 @@
 //! relevancy routing) and one parallel per-view refresh, so merging K tiny
 //! submissions into one application amortizes that fixed cost K-fold.
 //!
-//! A [`CatalogSession`] borrows the catalog exclusively and adds exactly
-//! that front:
+//! An [`IngestHub`] owns the catalog (volatile or durable) and adds
+//! exactly that front, one `Send` [`SessionHandle`] per producer:
 //!
-//! * **Bounded queue** — [`CatalogSession::try_submit`] enqueues a typed
+//! * **Bounded queue** — [`SessionHandle::try_submit`] enqueues a typed
 //!   [`UpdateBatch`] or returns [`IngestError::QueueFull`] immediately.
-//!   Backpressure is explicit and observable: the session never blocks and
+//!   Backpressure is explicit and observable: a handle never blocks and
 //!   never buffers beyond `queue_capacity`, the producer decides whether to
-//!   retry, flush, or shed load.
-//! * **Coalescing window** — [`CatalogSession::flush`] drains the queue,
-//!   greedily merging consecutive submissions into chunks of at most
-//!   `window_ops` ops (a submission is never split), and applies each chunk
-//!   through the catalog's once-per-batch validation and parallel
-//!   propagate/apply rounds.
+//!   retry, commit, or shed load.
+//! * **Coalescing window** — a drain round merges consecutive submissions
+//!   of one session into chunks of at most `window_ops` ops (a submission
+//!   is never split) and applies each chunk through the catalog's
+//!   once-per-batch validation and parallel propagate/apply rounds. The
+//!   background drain thread waits up to `window_ms` for company;
+//!   [`SessionHandle::commit`] drains its own queue inline.
 //! * **Receipts** — every applied chunk yields a [`BatchReceipt`];
-//!   [`CatalogSession::commit`] flushes the remainder and folds all
-//!   receipts into one [`SessionReceipt`].
+//!   [`SessionHandle::commit`] waits for the remainder (and, on a durable
+//!   catalog, its group fsync) and folds all receipts into one
+//!   [`SessionReceipt`].
 //!
 //! Coalescing changes *when* ops are resolved: every op of a merged chunk
 //! binds against the store state before the chunk, not before its original
 //! submission. Submissions whose ops target nodes created by an earlier
-//! queued submission should be separated by an explicit [`flush`]
-//! (`flush` is the sequencing boundary, exactly like a barrier in a write
-//! pipeline).
+//! queued submission should be separated by a sequencing boundary — a
+//! [`SessionHandle::commit`] or an [`IngestHub::drain_now`] round.
+//!
+//! A `window_ms` longer than the producer's run keeps the background
+//! drain out of the way, so coalescing is decided by `commit` alone and
+//! is deterministic:
 //!
 //! ```
-//! use viewsrv::{InsertPosition, SessionConfig, UpdateBatch, UpdateOp, ViewCatalog};
+//! use viewsrv::{HubConfig, HubInner, InsertPosition, UpdateBatch, UpdateOp, ViewCatalog};
 //! use xmlstore::Store;
 //!
 //! let mut store = Store::new();
@@ -41,21 +46,22 @@
 //! cat.register("all", r#"<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>"#)
 //!     .unwrap();
 //!
-//! let mut session = cat.session(SessionConfig::default());
+//! let hub = cat.into_hub(HubConfig { window_ms: 60_000, ..HubConfig::default() });
+//! let writer = hub.handle();
 //! for i in 0..3 {
 //!     let frag = format!("<book year=\"2001\"><title>B{i}</title></book>");
 //!     let op = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, &frag).unwrap();
-//!     session.try_submit(UpdateBatch::new().with(op)).unwrap();
+//!     writer.try_submit(UpdateBatch::new().with(op)).unwrap();
 //! }
-//! let receipt = session.commit().unwrap();
+//! let receipt = writer.commit().unwrap();
 //! assert_eq!(receipt.batches_submitted, 3);
 //! assert_eq!(receipt.batches_applied, 1, "three submissions coalesced into one");
+//! drop(writer);
+//! let HubInner::Volatile(cat) = hub.shutdown() else { unreachable!() };
 //! cat.verify_all().unwrap();
 //! ```
-//!
-//! [`flush`]: CatalogSession::flush
 
-use crate::durability::{DurabilityError, DurableCatalog, GroupCommit, Wal};
+use crate::durability::{DurabilityError, DurableCatalog, GroupCommit};
 use crate::{BatchReceipt, CatalogError, ServiceStats, UpdateBatch, ViewCatalog};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -63,31 +69,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a [`CatalogSession`].
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// Maximum number of queued (not yet flushed) submissions. Submitting
-    /// into a full queue fails with [`IngestError::QueueFull`] — the
-    /// session never blocks and never allocates past this bound.
-    pub queue_capacity: usize,
-    /// Coalescing window: maximum typed ops merged into one applied batch
-    /// at flush. A single submission larger than the window still applies
-    /// as one batch (submissions are never split).
-    pub window_ops: usize,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig { queue_capacity: 64, window_ops: 256 }
-    }
-}
-
 /// Ingestion-front failures.
 #[derive(Debug)]
 pub enum IngestError {
-    /// The bounded queue is at capacity; the submission was rejected
-    /// (backpressure). The rejected batch rides along so the producer can
-    /// retry it after a [`CatalogSession::flush`] without cloning.
+    /// The session's bounded queue is at capacity; the submission was
+    /// rejected (backpressure). The rejected batch rides along so the
+    /// producer can retry it after a [`SessionHandle::commit`] without
+    /// cloning.
     QueueFull {
         /// The rejected submission, handed back untouched.
         batch: UpdateBatch,
@@ -96,7 +84,7 @@ pub enum IngestError {
     },
     /// Applying a drained batch failed in the catalog.
     Catalog(CatalogError),
-    /// Journaling a drained batch failed (durable sessions only); the
+    /// Journaling a drained batch failed (durable catalogs only); the
     /// chunk was requeued and nothing was applied — or, when the failure
     /// was the shared group fsync, the chunk applied in memory but its
     /// durability is unknown (the same ambiguity a crash leaves).
@@ -112,7 +100,10 @@ impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IngestError::QueueFull { capacity, .. } => {
-                write!(f, "ingestion queue is full ({capacity} batches); flush before resubmitting")
+                write!(
+                    f,
+                    "ingestion queue is full ({capacity} batches); commit before resubmitting"
+                )
             }
             IngestError::Catalog(e) => write!(f, "{e}"),
             IngestError::Journal(e) => write!(f, "journaling the batch failed: {e}"),
@@ -153,12 +144,12 @@ impl From<xquery_lang::QueryParseError> for IngestError {
     }
 }
 
-/// Aggregate result of a whole session (all flushes up to and including
-/// [`CatalogSession::commit`]).
-#[must_use = "the session receipt reports what the whole session ingested"]
+/// Aggregate result of one [`SessionHandle::commit`]: every chunk of the
+/// session applied since the previous commit.
+#[must_use = "the session receipt reports what the session ingested"]
 #[derive(Clone, Debug, Default)]
 pub struct SessionReceipt {
-    /// Typed batches accepted by `try_submit` over the session's lifetime.
+    /// Typed batches accepted by `try_submit` since the previous commit.
     pub batches_submitted: usize,
     /// Coalesced batches actually applied to the catalog.
     pub batches_applied: usize,
@@ -172,208 +163,7 @@ pub struct SessionReceipt {
     pub stats: ServiceStats,
 }
 
-/// An exclusive ingestion session over a [`ViewCatalog`] — see the
-/// [module docs](self) for the queue/window/backpressure contract.
-pub struct CatalogSession<'a> {
-    catalog: &'a mut ViewCatalog,
-    /// When set, every coalesced chunk is appended and synced to this
-    /// write-ahead log *before* it is applied — the durable-session path
-    /// opened by [`crate::DurableCatalog::session`].
-    journal: Option<&'a mut Wal>,
-    config: SessionConfig,
-    queue: VecDeque<UpdateBatch>,
-    queued_ops: usize,
-    submitted: usize,
-    receipts: Vec<BatchReceipt>,
-    m: SessionMetrics,
-}
-
-/// Receipt accounting mirrored into the catalog registry (`session/*`),
-/// shared by the borrowed [`CatalogSession`] and the hub's drain rounds.
-struct SessionMetrics {
-    /// Chunk receipts delivered.
-    receipts: Arc<obs::Counter>,
-    /// Submissions folded into each applied chunk (window occupancy).
-    chunk_coalesced: Arc<obs::Histogram>,
-    /// Typed ops per applied chunk.
-    chunk_ops: Arc<obs::Histogram>,
-    /// Queue-full backpressure rejections.
-    queue_full: Arc<obs::Counter>,
-}
-
-impl SessionMetrics {
-    fn new(reg: &obs::MetricsRegistry) -> SessionMetrics {
-        SessionMetrics {
-            receipts: reg.counter("session/receipts"),
-            chunk_coalesced: reg.histogram("session/chunk_coalesced"),
-            chunk_ops: reg.histogram("session/chunk_ops"),
-            queue_full: reg.counter("session/queue_full"),
-        }
-    }
-
-    fn record_receipt(&self, r: &BatchReceipt) {
-        self.receipts.inc();
-        self.chunk_coalesced.record(r.coalesced_from as u64);
-        self.chunk_ops.record(r.ops as u64);
-    }
-}
-
-impl ViewCatalog {
-    /// Open an ingestion session over this catalog. The session borrows the
-    /// catalog exclusively; drop or [`CatalogSession::commit`] it to get
-    /// the catalog back.
-    pub fn session(&mut self, config: SessionConfig) -> CatalogSession<'_> {
-        let m = SessionMetrics::new(self.metrics_registry());
-        CatalogSession {
-            catalog: self,
-            journal: None,
-            config,
-            queue: VecDeque::new(),
-            queued_ops: 0,
-            submitted: 0,
-            receipts: Vec::new(),
-            m,
-        }
-    }
-
-    /// Open a session whose flushed chunks are journaled append-then-apply
-    /// (see [`crate::DurableCatalog::session`]).
-    pub(crate) fn session_journaled<'a>(
-        &'a mut self,
-        config: SessionConfig,
-        wal: &'a mut Wal,
-    ) -> CatalogSession<'a> {
-        let mut s = self.session(config);
-        s.journal = Some(wal);
-        s
-    }
-}
-
-impl CatalogSession<'_> {
-    /// Enqueue a typed batch without applying it. Fails fast with
-    /// [`IngestError::QueueFull`] when the bounded queue is at capacity —
-    /// the rejected batch is handed back inside the error untouched (and
-    /// the queue state is unchanged), so the producer can flush and
-    /// resubmit it without cloning.
-    pub fn try_submit(&mut self, batch: UpdateBatch) -> Result<(), IngestError> {
-        if self.queue.len() >= self.config.queue_capacity {
-            self.m.queue_full.inc();
-            self.catalog
-                .metrics_registry()
-                .emit(obs::Event::new(obs::EventKind::QueueFull).detail("borrowed session"));
-            return Err(IngestError::QueueFull { batch, capacity: self.config.queue_capacity });
-        }
-        self.queued_ops += batch.len();
-        self.queue.push_back(batch);
-        self.submitted += 1;
-        Ok(())
-    }
-
-    /// Parse a script once into a typed batch and [`try_submit`] it.
-    ///
-    /// [`try_submit`]: CatalogSession::try_submit
-    pub fn try_submit_script(&mut self, script: &str) -> Result<(), IngestError> {
-        self.try_submit(UpdateBatch::from_script(script)?)
-    }
-
-    /// Submissions waiting in the queue.
-    pub fn queued_batches(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Typed ops waiting in the queue.
-    pub fn queued_ops(&self) -> usize {
-        self.queued_ops
-    }
-
-    /// The session's configuration.
-    pub fn config(&self) -> SessionConfig {
-        self.config
-    }
-
-    /// Receipts of every batch this session has applied so far (all
-    /// flushes since the last [`commit`]).
-    ///
-    /// [`commit`]: CatalogSession::commit
-    pub fn receipts(&self) -> &[BatchReceipt] {
-        &self.receipts
-    }
-
-    /// Drop every queued (not yet flushed) submission, returning them —
-    /// the recovery escape hatch after a failed [`flush`] when the caller
-    /// decides not to retry.
-    ///
-    /// [`flush`]: CatalogSession::flush
-    pub fn discard_queued(&mut self) -> Vec<UpdateBatch> {
-        self.queued_ops = 0;
-        self.queue.drain(..).collect()
-    }
-
-    /// Drain the queue: merge consecutive submissions into chunks of at
-    /// most `window_ops` ops and apply each chunk as one catalog batch
-    /// (resolved and validated once, refreshed in parallel). Returns the
-    /// receipts of the batches applied by *this* flush, in order.
-    ///
-    /// Nothing is lost on failure: a chunk whose application errors is put
-    /// back at the front of the queue (still coalesced) before the error
-    /// returns, and receipts of chunks applied earlier in the flush remain
-    /// available via [`receipts`]. Retrying without removing the failing
-    /// ops will fail again — inspect and [`discard_queued`], or fix the
-    /// store, before the next flush.
-    ///
-    /// [`receipts`]: CatalogSession::receipts
-    /// [`discard_queued`]: CatalogSession::discard_queued
-    pub fn flush(&mut self) -> Result<Vec<BatchReceipt>, IngestError> {
-        let mut flushed = Vec::new();
-        while let Some((merged, coalesced_from)) =
-            pop_chunk(&mut self.queue, &mut self.queued_ops, self.config.window_ops)
-        {
-            match self.apply_chunk(&merged) {
-                Ok(mut receipt) => {
-                    receipt.coalesced_from = coalesced_from;
-                    self.m.record_receipt(&receipt);
-                    self.receipts.push(receipt.clone());
-                    flushed.push(receipt);
-                }
-                Err(e) => {
-                    self.queued_ops += merged.len();
-                    self.queue.push_front(merged);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(flushed)
-    }
-
-    /// Apply one coalesced chunk, journaling it first when the session is
-    /// durable ([`Wal::commit_batch`] — append + sync, then apply,
-    /// rolling the record back out of the log if application fails).
-    fn apply_chunk(&mut self, merged: &UpdateBatch) -> Result<BatchReceipt, IngestError> {
-        let Some(wal) = self.journal.as_deref_mut().filter(|_| !merged.is_empty()) else {
-            return Ok(self.catalog.apply_batch(merged)?);
-        };
-        wal.commit_batch(self.catalog, merged).map_err(|e| match e {
-            crate::durability::CommitError::Journal(io) => IngestError::Journal(io),
-            crate::durability::CommitError::Catalog(c) => IngestError::Catalog(c),
-        })
-    }
-
-    /// Flush the remaining queue and fold every receipt accumulated since
-    /// the last commit into one aggregate [`SessionReceipt`], draining
-    /// them. On error the session stays usable: the failing chunk is back
-    /// in the queue and earlier receipts are still held (see
-    /// [`flush`](CatalogSession::flush)), so the caller can recover and
-    /// commit again.
-    pub fn commit(&mut self) -> Result<SessionReceipt, IngestError> {
-        self.flush()?;
-        let receipt = fold_receipts(self.submitted, self.receipts.drain(..));
-        self.submitted = 0;
-        Ok(receipt)
-    }
-}
-
-/// Fold per-chunk receipts into one [`SessionReceipt`] (shared by the
-/// borrowed session and the hub handles).
+/// Fold per-chunk receipts into one [`SessionReceipt`].
 fn fold_receipts(
     submitted: usize,
     receipts: impl IntoIterator<Item = BatchReceipt>,
@@ -417,26 +207,10 @@ pub struct HubConfig {
     /// catalog. `0` (default) disables the idle timer — epochs then move
     /// only with writes, which is already fully consistent.
     pub epoch_ms: u64,
-    /// Test-only failpoint: when true, the *next* drain round panics
-    /// with the catalog checked out and chunk number
-    /// `inject_round_panic_at` mid-apply — the worst point for an
-    /// unwind. Exercises the panic-safe hand-back (`shutdown` must not
-    /// deadlock; the mid-apply session gets a sticky error, applied
-    /// chunks are receipted with a durability-unknown error, untouched
-    /// chunks requeue). Fires once per hub.
+    /// Test-only failpoint, fired by the hub's *first* drain round that
+    /// reaches it (see [`HubFailpoint`]).
     #[doc(hidden)]
-    pub inject_round_panic: bool,
-    /// Which chunk of the round the injected panic fires on (0 = the
-    /// first; 1 exercises the applied-but-unacknowledged path).
-    #[doc(hidden)]
-    pub inject_round_panic_at: usize,
-    /// Test-only failpoint: when nonzero, the *next* drain round sleeps
-    /// this many milliseconds with the catalog checked out before
-    /// applying — a deterministic wedged writer (a checkpoint or apply
-    /// stall). `with_catalog`/`with_inner` callers block for the whole
-    /// stall; epoch readers must not. Fires once per hub.
-    #[doc(hidden)]
-    pub inject_round_stall_ms: u64,
+    pub failpoint: Option<HubFailpoint>,
 }
 
 impl Default for HubConfig {
@@ -446,11 +220,28 @@ impl Default for HubConfig {
             window_ops: 256,
             window_ms: 2,
             epoch_ms: 0,
-            inject_round_panic: false,
-            inject_round_panic_at: 0,
-            inject_round_stall_ms: 0,
+            failpoint: None,
         }
     }
+}
+
+/// A one-shot test failpoint of a drain round ([`HubConfig::failpoint`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HubFailpoint {
+    /// Panic with the catalog checked out and chunk number `n` of the
+    /// round mid-apply — the worst point for an unwind (0 = the first
+    /// chunk; 1 exercises the applied-but-unacknowledged path).
+    /// Exercises the panic-safe hand-back: `shutdown` must not deadlock,
+    /// the mid-apply session gets a sticky error, applied chunks are
+    /// receipted with a durability-unknown error, untouched chunks
+    /// requeue.
+    PanicAtChunk(usize),
+    /// Sleep this many milliseconds with the catalog checked out before
+    /// applying — a deterministic wedged writer (a checkpoint or apply
+    /// stall). `with_catalog`/`with_inner` callers block for the whole
+    /// stall; epoch readers must not.
+    StallMs(u64),
 }
 
 /// The catalog a hub drives — handed back by [`IngestHub::shutdown`].
@@ -569,8 +360,12 @@ struct HubMetrics {
     /// Sessions visited per background round — the fairness signal: a
     /// healthy hub shows this tracking the open-session gauge.
     round_sessions: Arc<obs::Histogram>,
-    /// Receipt accounting shared with the borrowed-session path.
-    session: SessionMetrics,
+    /// Chunk receipts delivered (`session/receipts`).
+    receipts: Arc<obs::Counter>,
+    /// Submissions folded into each applied chunk (window occupancy).
+    chunk_coalesced: Arc<obs::Histogram>,
+    /// Typed ops per applied chunk.
+    chunk_ops: Arc<obs::Histogram>,
 }
 
 impl HubMetrics {
@@ -585,8 +380,16 @@ impl HubMetrics {
             sessions: reg.gauge("hub/open_sessions"),
             round: reg.histogram("hub/round"),
             round_sessions: reg.histogram("hub/round_sessions"),
-            session: SessionMetrics::new(reg),
+            receipts: reg.counter("session/receipts"),
+            chunk_coalesced: reg.histogram("session/chunk_coalesced"),
+            chunk_ops: reg.histogram("session/chunk_ops"),
         }
+    }
+
+    fn record_receipt(&self, r: &BatchReceipt) {
+        self.receipts.inc();
+        self.chunk_coalesced.record(r.coalesced_from as u64);
+        self.chunk_ops.record(r.ops as u64);
     }
 }
 
@@ -597,10 +400,8 @@ struct HubShared {
     /// Wakes committers (receipts delivered, errors recorded).
     ack: Condvar,
     config: HubConfig,
-    /// One-shot failpoint armed by [`HubConfig::inject_round_panic`].
-    panic_once: AtomicBool,
-    /// One-shot failpoint armed by [`HubConfig::inject_round_stall_ms`].
-    stall_once: AtomicBool,
+    /// The one-shot [`HubConfig::failpoint`] has not fired yet.
+    armed: AtomicBool,
     /// The catalog's metrics registry, captured at start so events and
     /// gauges stay recordable while the catalog is checked out of the
     /// hub state by a round.
@@ -637,33 +438,8 @@ impl HubShared {
 /// a durable catalog — **group commit** (concurrent `commit()`s and the
 /// drain thread coalesce their WAL fsyncs through a leader/follower
 /// protocol, counted by [`crate::WalSyncStats`]; receipts stay
-/// per-session).
-///
-/// ```
-/// use viewsrv::{HubConfig, InsertPosition, UpdateBatch, UpdateOp, ViewCatalog};
-/// use xmlstore::Store;
-///
-/// let mut store = Store::new();
-/// store.load_doc("bib.xml", "<bib><book year=\"1994\"><title>T</title></book></bib>").unwrap();
-/// let mut cat = ViewCatalog::new(store);
-/// cat.register("all", r#"<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>"#)
-///     .unwrap();
-///
-/// let hub = cat.into_hub(HubConfig::default());
-/// let writer = hub.handle();
-/// for i in 0..3 {
-///     let frag = format!("<book year=\"2001\"><title>B{i}</title></book>");
-///     let op = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, &frag).unwrap();
-///     writer.try_submit(UpdateBatch::new().with(op)).unwrap();
-/// }
-/// let receipt = writer.commit().unwrap();
-/// assert_eq!(receipt.batches_submitted, 3);
-/// let cat = match hub.shutdown() {
-///     viewsrv::HubInner::Volatile(c) => c,
-///     _ => unreachable!(),
-/// };
-/// cat.verify_all().unwrap();
-/// ```
+/// per-session). See the [module docs](self) for the queue, window and
+/// receipt contract.
 pub struct IngestHub {
     shared: Arc<HubShared>,
     drain: Option<std::thread::JoinHandle<()>>,
@@ -707,8 +483,7 @@ impl IngestHub {
             work: Condvar::new(),
             ack: Condvar::new(),
             config,
-            panic_once: AtomicBool::new(config.inject_round_panic),
-            stall_once: AtomicBool::new(config.inject_round_stall_ms > 0),
+            armed: AtomicBool::new(config.failpoint.is_some()),
             registry,
             epochs,
             m,
@@ -1102,8 +877,6 @@ fn drain_loop(shared: &HubShared) {
 /// Pop one coalesced chunk off a session queue: the front submission
 /// plus as many successors as fit in `window_ops` (a submission is never
 /// split). Returns the merged chunk and how many submissions it folds.
-/// Shared by [`CatalogSession::flush`] and the hub's drain rounds so the
-/// two coalescing paths cannot diverge.
 fn pop_chunk(
     queue: &mut VecDeque<UpdateBatch>,
     queued_ops: &mut usize,
@@ -1193,7 +966,7 @@ impl Drop for RoundGuard<'_> {
         for (sid, receipt) in self.acks.drain(..) {
             if let Some(p) = g.sessions.get_mut(&sid) {
                 p.inflight -= 1;
-                self.shared.m.session.record_receipt(&receipt);
+                self.shared.m.record_receipt(&receipt);
                 p.receipts.push(receipt);
                 if p.error.is_none() {
                     let e = round_panicked_error(
@@ -1331,8 +1104,10 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
     // no hub lock held — `with_catalog`/`with_inner` callers stack up on
     // the hand-back condvar for the whole stall, while epoch readers
     // keep being served from the last published snapshot (see HubConfig).
-    if shared.config.inject_round_stall_ms > 0 && shared.stall_once.swap(false, Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(shared.config.inject_round_stall_ms));
+    if let Some(HubFailpoint::StallMs(ms)) = shared.config.failpoint {
+        if shared.armed.swap(false, Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
     }
 
     // ── No hub lock held from here: append + apply each chunk in order
@@ -1347,8 +1122,8 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
             continue;
         }
         guard.applying = Some(sid);
-        if chunk_idx == shared.config.inject_round_panic_at
-            && shared.panic_once.swap(false, Ordering::SeqCst)
+        if shared.config.failpoint == Some(HubFailpoint::PanicAtChunk(chunk_idx))
+            && shared.armed.swap(false, Ordering::SeqCst)
         {
             // Test failpoint: unwind at the worst moment — catalog
             // checked out, this chunk mid-apply, earlier ones applied
@@ -1462,7 +1237,7 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
             for (sid, receipt) in guard.acks.drain(..) {
                 if let Some(p) = g.sessions.get_mut(&sid) {
                     p.inflight -= 1;
-                    shared.m.session.record_receipt(&receipt);
+                    shared.m.record_receipt(&receipt);
                     p.receipts.push(receipt);
                 }
             }
@@ -1477,7 +1252,7 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
             for (sid, receipt) in guard.acks.drain(..) {
                 if let Some(p) = g.sessions.get_mut(&sid) {
                     p.inflight -= 1;
-                    shared.m.session.record_receipt(&receipt);
+                    shared.m.record_receipt(&receipt);
                     p.receipts.push(receipt);
                     if p.error.is_none() {
                         let e =

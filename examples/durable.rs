@@ -5,7 +5,7 @@
 //! cargo run --release --example durable
 //! ```
 
-use xqview::viewsrv::{DurableCatalog, SessionConfig};
+use xqview::viewsrv::{DurableCatalog, HubConfig, HubInner};
 use xqview::xquery_lang::InsertPosition;
 use xqview::{UpdateBatch, UpdateOp};
 
@@ -13,7 +13,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("xqview-durable-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ── Process 1: build a catalog, ingest through a journaled session.
+    // ── Process 1: build a catalog, ingest through the hub.
     {
         let mut cat = DurableCatalog::open(&dir).expect("open catalog dir");
         cat.load_doc(
@@ -27,14 +27,23 @@ fn main() {
         )
         .expect("register");
 
-        let mut session = cat.session(SessionConfig { queue_capacity: 16, window_ops: 4 });
+        // The long time window leaves the coalescing to `commit`.
+        let hub = cat.into_hub(HubConfig {
+            queue_capacity: 16,
+            window_ops: 4,
+            window_ms: 60_000,
+            ..HubConfig::default()
+        });
+        let writer = hub.handle();
         for i in 0..6 {
             let frag = format!(r#"<book year="200{i}"><title>Volume {i}</title></book>"#);
             let op =
                 UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, &frag).expect("typed op");
-            session.try_submit(UpdateBatch::new().with(op)).expect("queue has room");
+            writer.try_submit(UpdateBatch::new().with(op)).expect("queue has room");
         }
-        let receipt = session.commit().expect("durable commit");
+        let receipt = writer.commit().expect("durable commit");
+        drop(writer);
+        let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("started durable") };
         println!(
             "committed {} submissions as {} journaled chunk(s); WAL holds {} record(s), {} bytes",
             receipt.batches_submitted,

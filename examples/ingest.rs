@@ -1,13 +1,15 @@
 //! The typed update API and the batched ingestion front: many writers
-//! streaming small typed batches into a bounded session queue, coalesced
-//! into windowed applications with explicit backpressure and per-batch
-//! receipts.
+//! streaming small typed batches into a bounded hub session queue,
+//! coalesced into windowed applications with explicit backpressure and
+//! per-commit receipts.
 //!
 //! ```sh
 //! cargo run --release --example ingest
 //! ```
 
-use xqview::viewsrv::{IngestError, SessionConfig, UpdateBatch, UpdateOp, ViewCatalog};
+use xqview::viewsrv::{
+    HubConfig, HubInner, IngestError, SessionReceipt, UpdateBatch, UpdateOp, ViewCatalog,
+};
 use xqview::xquery_lang::{CmpOp, InsertPosition};
 use xqview::{datagen, Store};
 
@@ -60,42 +62,49 @@ fn main() {
         .collect();
 
     // A small queue + window keeps memory bounded and shows backpressure:
-    // when the queue fills, the producer flushes and retries.
-    let mut session = cat.session(SessionConfig { queue_capacity: 4, window_ops: 8 });
+    // when the queue fills, the producer commits and retries. The long
+    // time window keeps the background drain out of the way, so every
+    // application below is one `commit` decided.
+    let hub = cat.into_hub(HubConfig {
+        queue_capacity: 4,
+        window_ops: 8,
+        window_ms: 60_000,
+        ..HubConfig::default()
+    });
+    let writer = hub.handle();
+    let mut commits: Vec<SessionReceipt> = Vec::new();
     for batch in writer_batches {
-        match session.try_submit(batch) {
+        match writer.try_submit(batch) {
             Ok(()) => {}
             Err(IngestError::QueueFull { batch, capacity }) => {
-                println!("queue full at {capacity}; flushing…");
-                for r in session.flush().unwrap() {
-                    println!(
-                        "  applied {:>2} ops (coalesced from {}) -> views {:?}  \
-                         validate {:>7.3}ms  propagate {:>7.3}ms  apply {:>7.3}ms",
-                        r.ops,
-                        r.coalesced_from,
-                        r.views_touched,
-                        r.stats.validate.as_secs_f64() * 1e3,
-                        r.stats.propagate.as_secs_f64() * 1e3,
-                        r.stats.apply.as_secs_f64() * 1e3,
-                    );
-                }
-                session.try_submit(batch).unwrap();
+                println!("queue full at {capacity}; committing…");
+                commits.push(writer.commit().unwrap());
+                writer.try_submit(batch).unwrap();
             }
             Err(e) => panic!("{e}"),
         }
     }
-    let receipt = session.commit().unwrap();
+    commits.push(writer.commit().unwrap());
 
-    println!(
-        "\nsession: {} submissions coalesced into {} applications ({} ops, {} resolved)",
-        receipt.batches_submitted, receipt.batches_applied, receipt.ops, receipt.resolved
-    );
-    println!("views touched: {:?}", receipt.views_touched);
-    println!(
-        "per-phase wall: validate {:?}  propagate {:?}  apply {:?}",
-        receipt.stats.validate, receipt.stats.propagate, receipt.stats.apply
-    );
+    for r in &commits {
+        println!(
+            "commit: {:>2} ops from {} submission(s) in {} application(s) -> views {:?}  \
+             validate {:>7.3}ms  propagate {:>7.3}ms  apply {:>7.3}ms",
+            r.ops,
+            r.batches_submitted,
+            r.batches_applied,
+            r.views_touched,
+            r.stats.validate.as_secs_f64() * 1e3,
+            r.stats.propagate.as_secs_f64() * 1e3,
+            r.stats.apply.as_secs_f64() * 1e3,
+        );
+    }
+    let submitted: usize = commits.iter().map(|r| r.batches_submitted).sum();
+    let applied: usize = commits.iter().map(|r| r.batches_applied).sum();
+    println!("\nhub: {submitted} submissions coalesced into {applied} applications");
 
+    drop(writer);
+    let HubInner::Volatile(cat) = hub.shutdown() else { unreachable!("started volatile") };
     cat.verify_all().expect("every extent equals its recomputation");
     println!("verify_all: every extent equals its from-scratch recomputation.");
 }

@@ -77,12 +77,12 @@
 //! Updates are first-class values, not strings: an [`UpdateOp`] is a typed
 //! insert/delete/modify (built programmatically or parsed once from script
 //! text), an [`UpdateBatch`] is the unit the stack validates once and
-//! routes, and a [`CatalogSession`] queues batches behind a bounded queue
-//! with a coalescing window and explicit backpressure, emitting structured
-//! [`BatchReceipt`]s per applied window:
+//! routes, and an [`IngestHub`] queues batches behind one bounded queue
+//! per producer [`SessionHandle`] with a coalescing window and explicit
+//! backpressure, emitting structured [`BatchReceipt`]s per applied window:
 //!
 //! ```
-//! use xqview::{CatalogSession, SessionConfig, Store, UpdateBatch, UpdateOp, ViewCatalog};
+//! use xqview::{HubConfig, HubInner, Store, UpdateBatch, UpdateOp, ViewCatalog};
 //! use xqview::xquery_lang::InsertPosition;
 //!
 //! let mut store = Store::new();
@@ -91,22 +91,26 @@
 //! cat.register("titles", r#"<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>"#)
 //!     .unwrap();
 //!
-//! let mut session = cat.session(SessionConfig::default());
+//! let hub = cat.into_hub(HubConfig { window_ms: 60_000, ..HubConfig::default() });
+//! let writer = hub.handle();
 //! let op = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into,
 //!                           r#"<book year="2001"><title>U</title></book>"#).unwrap();
-//! session.try_submit(UpdateBatch::new().with(op)).unwrap();
-//! let receipt = session.commit().unwrap();
+//! writer.try_submit(UpdateBatch::new().with(op)).unwrap();
+//! let receipt = writer.commit().unwrap();
 //! assert_eq!(receipt.views_touched, vec!["titles"]);
+//! drop(writer);
+//! let HubInner::Volatile(cat) = hub.shutdown() else { unreachable!() };
 //! cat.verify_all().unwrap();
 //! ```
 //!
 //! ## Durability: views survive the process
 //!
 //! A [`DurableCatalog`] is a [`ViewCatalog`] whose every mutation flows
-//! through one journaled commit point: data batches are appended and
-//! synced to a write-ahead log of [`wire`]-framed [`UpdateBatch`] records
-//! *before* they apply (and through a journaled [`CatalogSession`],
-//! `commit()` is the durability boundary), while administrative mutations
+//! through one journaled commit point: data batches are appended to a
+//! write-ahead log of [`wire`]-framed [`UpdateBatch`] records, applied,
+//! and acknowledged only after a (group) fsync covers them — whether they
+//! arrive through `apply_batch` or an [`IngestHub`], whose
+//! `commit()` is the durability boundary — while administrative mutations
 //! checkpoint a full [`viewsrv::Snapshot`] — store, view definitions, and
 //! materialized extents. `DurableCatalog::open` recovers by loading the
 //! newest valid snapshot, reinstalling extents **without recomputation**,
@@ -140,21 +144,23 @@
 //!
 //! ## Many writers: the ingest hub
 //!
-//! [`IngestHub`] puts either catalog behind `Send` producer handles: each
-//! session gets a bounded queue, a **background drain thread** coalesces
+//! [`IngestHub`] is the one ingestion front, for a single writer or many:
+//! it puts either catalog behind `Send` producer handles, each session
+//! gets a bounded queue, a **background drain thread** coalesces
 //! submissions inside a time window (`window_ms`) and visits sessions
 //! **round-robin** so no writer starves, and on a [`DurableCatalog`]
 //! concurrent `commit()`s share their WAL fsyncs through a
 //! leader/follower **group commit** ([`WalSyncStats`] counts the
 //! sharing). The WAL also checkpoints itself once its tail crosses the
-//! [`RotatePolicy`] bounds, keeping restart replay bounded — and in the
-//! default [`CheckpointMode::Background`] that rotation does **not**
-//! stop the world: capture freezes the store and extents by
-//! copy-on-write handle (O(documents + views)), a seal record closes the
-//! old WAL generation, commits continue into the next log at memory
-//! speed, and a detached [`exec`] job encodes and fsyncs the snapshot
-//! (the `fig_checkpoint` bench measures commit latency under forced
-//! rotation, background vs stop-the-world). Drain rounds are panic-safe:
+//! [`RotatePolicy`] bounds, keeping restart replay bounded, and that
+//! rotation does **not** stop the world: capture freezes the store and
+//! extents by copy-on-write handle (O(documents + views)), a seal record
+//! closes the old WAL generation, commits continue into the next log at
+//! memory speed, and a detached [`exec`] job encodes and fsyncs the
+//! snapshot. An explicit `DurableCatalog::snapshot()` is the
+//! synchronous barrier; the `fig_checkpoint` bench measures commit
+//! latency under forced rotation against one such snapshot per commit,
+//! the stop-the-world baseline. Drain rounds are panic-safe:
 //! a round that unwinds mid-apply hands the catalog back and surfaces a
 //! sticky error instead of deadlocking `shutdown`.
 //!
@@ -234,10 +240,9 @@ pub use xquery_lang;
 pub use datagen;
 pub use flexkey::{FlexKey, OrdKey, SemId};
 pub use viewsrv::{
-    BatchReceipt, CatalogError, CatalogSession, CheckpointMode, DurabilityError, DurableCatalog,
-    DurableMarks, Epoch, EpochPublisher, HubConfig, HubInner, IngestError, IngestHub, ReadHandle,
-    RecoveryReport, RotatePolicy, ServiceStats, SessionConfig, SessionHandle, SessionReceipt,
-    ViewCatalog, WalSyncStats,
+    BatchReceipt, CatalogError, DurabilityError, DurableCatalog, DurableMarks, Epoch,
+    EpochPublisher, HubConfig, HubInner, IngestError, IngestHub, ReadHandle, RecoveryReport,
+    RotatePolicy, ServiceStats, SessionHandle, SessionReceipt, ViewCatalog, WalSyncStats,
 };
 pub use vpa_core::{MaintStats, MaintView, ResolvedUpdate, Sapt, ViewManager};
 pub use xat::{ExecOptions, ExecStats, Executor, Plan, ViewExtent};

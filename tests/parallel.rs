@@ -14,7 +14,8 @@
 
 use exec::Executor;
 use viewsrv::{
-    DurableCatalog, HubConfig, HubInner, IngestError, RotatePolicy, UpdateBatch, ViewCatalog,
+    DurableCatalog, HubConfig, HubFailpoint, HubInner, IngestError, RotatePolicy, UpdateBatch,
+    ViewCatalog,
 };
 use wire::frame;
 use xmlstore::Store;
@@ -577,7 +578,7 @@ fn shutdown_survives_a_panicking_drain_round() {
         queue_capacity: 8,
         window_ops: 8,
         window_ms: 60_000,
-        inject_round_panic: true,
+        failpoint: Some(HubFailpoint::PanicAtChunk(0)),
         ..HubConfig::default()
     });
     // Round-robin starts after the initial cursor (session 0), so the
@@ -716,8 +717,7 @@ fn panic_after_an_applied_chunk_releases_all_sessions() {
         queue_capacity: 8,
         window_ops: 8,
         window_ms: 60_000,
-        inject_round_panic: true,
-        inject_round_panic_at: 1,
+        failpoint: Some(HubFailpoint::PanicAtChunk(1)),
         ..HubConfig::default()
     });
     // Round-robin visits session 1 first (the cursor starts at 0):

@@ -250,9 +250,9 @@ fn recovered_catalog_continues_and_checkpoints() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Journaled sessions crash-recover like direct applies: the WAL holds
-/// the coalesced chunks a flush applied, and a torn tail never loses a
-/// committed chunk.
+/// Hub sessions on a durable catalog crash-recover like direct applies:
+/// the WAL holds the coalesced chunks a commit applied, and a torn tail
+/// never loses an earlier committed chunk.
 #[test]
 fn journaled_session_crash_matrix() {
     let cfg = bib_cfg();
@@ -265,13 +265,22 @@ fn journaled_session_crash_matrix() {
     for (name, q) in &views {
         cat.register(name, q).unwrap();
     }
-    let mut session = cat.session(viewsrv::SessionConfig { queue_capacity: 16, window_ops: 4 });
+    // The time window outlives the test: `commit` alone drains.
+    let hub = cat.into_hub(viewsrv::HubConfig {
+        queue_capacity: 16,
+        window_ops: 4,
+        window_ms: 60_000,
+        ..viewsrv::HubConfig::default()
+    });
+    let session = hub.handle();
     for b in workload(&cfg) {
         session.try_submit(b).unwrap();
     }
     let receipt = session.commit().unwrap();
     assert!(receipt.batches_applied < receipt.batches_submitted, "windows coalesced");
     let applied = receipt.batches_applied;
+    drop(session);
+    let viewsrv::HubInner::Durable(cat) = hub.shutdown() else { unreachable!("started durable") };
     assert_eq!(cat.wal_records(), applied);
     let want = extents(cat.catalog(), &views);
     let gen = cat.generation();
