@@ -114,10 +114,10 @@ impl ClientError {
 
 /// `Request::Submit` encoded from a *borrowed* batch — byte-identical to
 /// `Request::Submit(batch.clone())` without the clone, so the caller
-/// keeps ownership for retry after backpressure.
+/// keeps ownership for retry after backpressure. Encode-only: the server
+/// decodes the owned [`proto::Request`].
 struct SubmitRef<'a>(&'a UpdateBatch);
 
-// xqcheck: allow(codec-pair) — outbound-only borrowed mirror of Request::Submit; the owned Request decodes
 impl Encode for SubmitRef<'_> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(3); // Request::Submit's tag (pinned by a unit test below)

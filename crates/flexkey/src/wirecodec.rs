@@ -1,23 +1,15 @@
 //! [`wire`] codec impls for every key type — serialization lives with the
 //! types, so any layer that stores or journals keys speaks one format.
 //!
-//! Encodings (enum tag bytes noted per type):
-//!
-//! * [`Seg`] — length-prefixed segment bytes (validated on decode);
-//! * [`FlexKey`] — sequence of segments;
-//! * [`OrdAtom`] — `0` Key, `1` Bytes;
-//! * [`OrdKey`] — sequence of atoms;
-//! * [`Key`] — identity + optional overriding order;
-//! * [`LngAtom`] — `0` Key, `1` Val, `2` Star, `3` Null;
-//! * [`OrdPrefix`] — `0` FromBody, `1` NoOrder, `2` Over;
-//! * [`SemBody`] — `0` Base, `1` Constructed;
-//! * [`SemId`] — order prefix + body.
+//! [`Seg`] decoding validates the segment alphabet, so a corrupt key can
+//! never come back into memory; [`FlexKey`] and [`OrdKey`] are sequences
+//! behind private fields. Everything else is a [`wire::codec!`] table.
 
 use crate::key::{FlexKey, Key};
 use crate::ordkey::{OrdAtom, OrdKey};
 use crate::seg::Seg;
 use crate::semid::{LngAtom, OrdPrefix, SemBody, SemId};
-use wire::{put_bytes, put_slice, Decode, Encode, Reader, WireError};
+use wire::{codec, put_bytes, put_slice, Decode, Encode, Reader, WireError};
 
 impl Encode for Seg {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -45,31 +37,6 @@ impl Decode for FlexKey {
     }
 }
 
-impl Encode for OrdAtom {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            OrdAtom::Key(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            OrdAtom::Bytes(b) => {
-                out.push(1);
-                put_bytes(out, b);
-            }
-        }
-    }
-}
-
-impl Decode for OrdAtom {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(OrdAtom::Key(FlexKey::decode(r)?)),
-            1 => Ok(OrdAtom::Bytes(r.bytes()?.to_vec())),
-            tag => Err(WireError::Tag { type_name: "OrdAtom", tag }),
-        }
-    }
-}
-
 impl Encode for OrdKey {
     fn encode(&self, out: &mut Vec<u8>) {
         put_slice(out, self.atoms());
@@ -82,109 +49,12 @@ impl Decode for OrdKey {
     }
 }
 
-impl Encode for Key {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.ord.encode(out);
-    }
-}
-
-impl Decode for Key {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Key { id: FlexKey::decode(r)?, ord: Option::<OrdKey>::decode(r)? })
-    }
-}
-
-impl Encode for LngAtom {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LngAtom::Key(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            LngAtom::Val(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            LngAtom::Star => out.push(2),
-            LngAtom::Null => out.push(3),
-        }
-    }
-}
-
-impl Decode for LngAtom {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(LngAtom::Key(FlexKey::decode(r)?)),
-            1 => Ok(LngAtom::Val(String::decode(r)?)),
-            2 => Ok(LngAtom::Star),
-            3 => Ok(LngAtom::Null),
-            tag => Err(WireError::Tag { type_name: "LngAtom", tag }),
-        }
-    }
-}
-
-impl Encode for OrdPrefix {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            OrdPrefix::FromBody => out.push(0),
-            OrdPrefix::NoOrder => out.push(1),
-            OrdPrefix::Over(o) => {
-                out.push(2);
-                o.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for OrdPrefix {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(OrdPrefix::FromBody),
-            1 => Ok(OrdPrefix::NoOrder),
-            2 => Ok(OrdPrefix::Over(OrdKey::decode(r)?)),
-            tag => Err(WireError::Tag { type_name: "OrdPrefix", tag }),
-        }
-    }
-}
-
-impl Encode for SemBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SemBody::Base(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            SemBody::Constructed(atoms) => {
-                out.push(1);
-                put_slice(out, atoms);
-            }
-        }
-    }
-}
-
-impl Decode for SemBody {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(SemBody::Base(FlexKey::decode(r)?)),
-            1 => Ok(SemBody::Constructed(Vec::<LngAtom>::decode(r)?)),
-            tag => Err(WireError::Tag { type_name: "SemBody", tag }),
-        }
-    }
-}
-
-impl Encode for SemId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ord.encode(out);
-        self.body.encode(out);
-    }
-}
-
-impl Decode for SemId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SemId { ord: OrdPrefix::decode(r)?, body: SemBody::decode(r)? })
-    }
-}
+codec!(enum OrdAtom { 0 => Key(k), 1 => Bytes(b as Bytes) });
+codec!(struct Key { id, ord });
+codec!(enum LngAtom { 0 => Key(k), 1 => Val(v), 2 => Star, 3 => Null });
+codec!(enum OrdPrefix { 0 => FromBody, 1 => NoOrder, 2 => Over(o) });
+codec!(enum SemBody { 0 => Base(k), 1 => Constructed(atoms) });
+codec!(struct SemId { ord, body });
 
 #[cfg(test)]
 mod tests {

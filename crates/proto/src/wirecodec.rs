@@ -1,306 +1,83 @@
-//! [`wire`] codec impls for the session-protocol messages.
+//! [`wire`] codec tables for the session-protocol messages.
 //!
-//! Enum encodings follow the workspace convention: one tag byte, then
-//! the variant payload. `UpdateBatch` reuses the codec the WAL already
-//! journals it with — the same bytes travel the socket and the log.
+//! `UpdateBatch` reuses the codec the WAL already journals it with — the
+//! same bytes travel the socket and the log. An extent travels as one
+//! length-prefixed byte string, already in its own wire encoding.
 
 use crate::{CommitReceipt, ErrorKind, HistogramSummary, Request, Response, ServerStats, WireErr};
-use wire::{put_bytes, put_slice, put_u64, Decode, Encode, Reader, WireError};
-use xquery_lang::UpdateBatch;
+use wire::codec;
 
-impl Encode for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::Hello { client, protocol } => {
-                out.push(0);
-                client.encode(out);
-                put_u64(out, u64::from(*protocol));
-            }
-            Request::RegisterView { name, query } => {
-                out.push(1);
-                name.encode(out);
-                query.encode(out);
-            }
-            Request::DropView { name } => {
-                out.push(2);
-                name.encode(out);
-            }
-            Request::Submit(batch) => {
-                out.push(3);
-                batch.encode(out);
-            }
-            Request::Flush => out.push(4),
-            Request::Commit => out.push(5),
-            Request::QueryView { name } => {
-                out.push(6);
-                name.encode(out);
-            }
-            Request::Stats => out.push(7),
-            Request::MetricsDump => out.push(8),
-            Request::Shutdown => out.push(9),
-        }
-    }
-}
+codec!(enum Request {
+    0 => Hello { client, protocol },
+    1 => RegisterView { name, query },
+    2 => DropView { name },
+    3 => Submit(batch),
+    4 => Flush,
+    5 => Commit,
+    6 => QueryView { name },
+    7 => Stats,
+    8 => MetricsDump,
+    9 => Shutdown,
+});
 
-impl Decode for Request {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => Request::Hello { client: String::decode(r)?, protocol: decode_u32(r)? },
-            1 => Request::RegisterView { name: String::decode(r)?, query: String::decode(r)? },
-            2 => Request::DropView { name: String::decode(r)? },
-            3 => Request::Submit(UpdateBatch::decode(r)?),
-            4 => Request::Flush,
-            5 => Request::Commit,
-            6 => Request::QueryView { name: String::decode(r)? },
-            7 => Request::Stats,
-            8 => Request::MetricsDump,
-            9 => Request::Shutdown,
-            tag => return Err(WireError::Tag { type_name: "Request", tag }),
-        })
-    }
-}
+codec!(enum Response {
+    0 => HelloOk { server, protocol, views },
+    1 => Registered { name },
+    2 => Dropped { name },
+    3 => Submitted { queued_batches, queued_ops },
+    4 => Flushed { chunks_applied },
+    5 => Committed(receipt),
+    6 => Extent { name, bytes as Bytes, epoch, watermark },
+    7 => Stats(stats),
+    8 => Metrics { json },
+    9 => ShuttingDown,
+    10 => Error(err),
+});
 
-impl Encode for Response {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Response::HelloOk { server, protocol, views } => {
-                out.push(0);
-                server.encode(out);
-                put_u64(out, u64::from(*protocol));
-                put_slice(out, views);
-            }
-            Response::Registered { name } => {
-                out.push(1);
-                name.encode(out);
-            }
-            Response::Dropped { name } => {
-                out.push(2);
-                name.encode(out);
-            }
-            Response::Submitted { queued_batches, queued_ops } => {
-                out.push(3);
-                put_u64(out, *queued_batches);
-                put_u64(out, *queued_ops);
-            }
-            Response::Flushed { chunks_applied } => {
-                out.push(4);
-                put_u64(out, *chunks_applied);
-            }
-            Response::Committed(receipt) => {
-                out.push(5);
-                receipt.encode(out);
-            }
-            Response::Extent { name, bytes, epoch, watermark } => {
-                out.push(6);
-                name.encode(out);
-                put_bytes(out, bytes);
-                put_u64(out, *epoch);
-                put_u64(out, *watermark);
-            }
-            Response::Stats(stats) => {
-                out.push(7);
-                stats.encode(out);
-            }
-            Response::Metrics { json } => {
-                out.push(8);
-                json.encode(out);
-            }
-            Response::ShuttingDown => out.push(9),
-            Response::Error(err) => {
-                out.push(10);
-                err.encode(out);
-            }
-        }
-    }
-}
+codec!(struct CommitReceipt {
+    batches_submitted,
+    batches_applied,
+    ops,
+    resolved,
+    views_touched,
+    validate_ns,
+    propagate_ns,
+    apply_ns,
+});
 
-impl Decode for Response {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => Response::HelloOk {
-                server: String::decode(r)?,
-                protocol: decode_u32(r)?,
-                views: Vec::<String>::decode(r)?,
-            },
-            1 => Response::Registered { name: String::decode(r)? },
-            2 => Response::Dropped { name: String::decode(r)? },
-            3 => Response::Submitted { queued_batches: r.u64()?, queued_ops: r.u64()? },
-            4 => Response::Flushed { chunks_applied: r.u64()? },
-            5 => Response::Committed(CommitReceipt::decode(r)?),
-            6 => Response::Extent {
-                name: String::decode(r)?,
-                bytes: r.bytes()?.to_vec(),
-                epoch: r.u64()?,
-                watermark: r.u64()?,
-            },
-            7 => Response::Stats(ServerStats::decode(r)?),
-            8 => Response::Metrics { json: String::decode(r)? },
-            9 => Response::ShuttingDown,
-            10 => Response::Error(WireErr::decode(r)?),
-            tag => return Err(WireError::Tag { type_name: "Response", tag }),
-        })
-    }
-}
+codec!(struct HistogramSummary { name, count, p50_ns, p90_ns, p99_ns, max_ns });
 
-impl Encode for CommitReceipt {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.batches_submitted);
-        put_u64(out, self.batches_applied);
-        put_u64(out, self.ops);
-        put_u64(out, self.resolved);
-        put_slice(out, &self.views_touched);
-        put_u64(out, self.validate_ns);
-        put_u64(out, self.propagate_ns);
-        put_u64(out, self.apply_ns);
-    }
-}
+codec!(struct ServerStats {
+    views,
+    docs,
+    batches,
+    updates_seen,
+    views_routed,
+    views_skipped,
+    generation,
+    wal_records,
+    wal_bytes,
+    connections_accepted,
+    connections_active,
+    requests,
+    frame_errors,
+    epoch,
+    epoch_watermark,
+    epoch_age_us,
+    request_latency,
+});
 
-impl Decode for CommitReceipt {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CommitReceipt {
-            batches_submitted: r.u64()?,
-            batches_applied: r.u64()?,
-            ops: r.u64()?,
-            resolved: r.u64()?,
-            views_touched: Vec::<String>::decode(r)?,
-            validate_ns: r.u64()?,
-            propagate_ns: r.u64()?,
-            apply_ns: r.u64()?,
-        })
-    }
-}
+codec!(struct WireErr { kind, detail });
 
-impl Encode for HistogramSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        put_u64(out, self.count);
-        put_u64(out, self.p50_ns);
-        put_u64(out, self.p90_ns);
-        put_u64(out, self.p99_ns);
-        put_u64(out, self.max_ns);
-    }
-}
-
-impl Decode for HistogramSummary {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HistogramSummary {
-            name: String::decode(r)?,
-            count: r.u64()?,
-            p50_ns: r.u64()?,
-            p90_ns: r.u64()?,
-            p99_ns: r.u64()?,
-            max_ns: r.u64()?,
-        })
-    }
-}
-
-impl Encode for ServerStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_slice(out, &self.views);
-        put_slice(out, &self.docs);
-        put_u64(out, self.batches);
-        put_u64(out, self.updates_seen);
-        put_u64(out, self.views_routed);
-        put_u64(out, self.views_skipped);
-        put_u64(out, self.generation);
-        put_u64(out, self.wal_records);
-        put_u64(out, self.wal_bytes);
-        put_u64(out, self.connections_accepted);
-        self.connections_active.encode(out);
-        put_u64(out, self.requests);
-        put_u64(out, self.frame_errors);
-        put_u64(out, self.epoch);
-        put_u64(out, self.epoch_watermark);
-        put_u64(out, self.epoch_age_us);
-        put_slice(out, &self.request_latency);
-    }
-}
-
-impl Decode for ServerStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ServerStats {
-            views: Vec::<String>::decode(r)?,
-            docs: Vec::<String>::decode(r)?,
-            batches: r.u64()?,
-            updates_seen: r.u64()?,
-            views_routed: r.u64()?,
-            views_skipped: r.u64()?,
-            generation: r.u64()?,
-            wal_records: r.u64()?,
-            wal_bytes: r.u64()?,
-            connections_accepted: r.u64()?,
-            connections_active: r.i64()?,
-            requests: r.u64()?,
-            frame_errors: r.u64()?,
-            epoch: r.u64()?,
-            epoch_watermark: r.u64()?,
-            epoch_age_us: r.u64()?,
-            request_latency: Vec::<HistogramSummary>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for WireErr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind.encode(out);
-        self.detail.encode(out);
-    }
-}
-
-impl Decode for WireErr {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(WireErr { kind: ErrorKind::decode(r)?, detail: String::decode(r)? })
-    }
-}
-
-impl Encode for ErrorKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ErrorKind::QueueFull { capacity } => {
-                out.push(0);
-                put_u64(out, *capacity);
-            }
-            ErrorKind::HubClosed => out.push(1),
-            ErrorKind::UnknownView { name } => {
-                out.push(2);
-                name.encode(out);
-            }
-            ErrorKind::DuplicateView { name } => {
-                out.push(3);
-                name.encode(out);
-            }
-            ErrorKind::Catalog => out.push(4),
-            ErrorKind::Journal => out.push(5),
-            ErrorKind::Frame => out.push(6),
-            ErrorKind::Protocol => out.push(7),
-            ErrorKind::ConnectionLimit { max } => {
-                out.push(8);
-                put_u64(out, *max);
-            }
-            ErrorKind::ShuttingDown => out.push(9),
-        }
-    }
-}
-
-impl Decode for ErrorKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => ErrorKind::QueueFull { capacity: r.u64()? },
-            1 => ErrorKind::HubClosed,
-            2 => ErrorKind::UnknownView { name: String::decode(r)? },
-            3 => ErrorKind::DuplicateView { name: String::decode(r)? },
-            4 => ErrorKind::Catalog,
-            5 => ErrorKind::Journal,
-            6 => ErrorKind::Frame,
-            7 => ErrorKind::Protocol,
-            8 => ErrorKind::ConnectionLimit { max: r.u64()? },
-            9 => ErrorKind::ShuttingDown,
-            tag => return Err(WireError::Tag { type_name: "ErrorKind", tag }),
-        })
-    }
-}
-
-fn decode_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
-    let v = r.u64()?;
-    u32::try_from(v).map_err(|_| WireError::Invalid(format!("value {v} overflows u32")))
-}
+codec!(enum ErrorKind {
+    0 => QueueFull { capacity },
+    1 => HubClosed,
+    2 => UnknownView { name },
+    3 => DuplicateView { name },
+    4 => Catalog,
+    5 => Journal,
+    6 => Frame,
+    7 => Protocol,
+    8 => ConnectionLimit { max },
+    9 => ShuttingDown,
+});

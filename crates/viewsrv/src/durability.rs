@@ -119,7 +119,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use wire::frame::{self, FrameRead};
-use wire::{Decode, Encode, Reader, SealRecord, SegmentRecord, WireError};
+use wire::{SealRecord, SegmentRecord};
 use xat::ViewExtent;
 use xmlstore::Store;
 
@@ -189,23 +189,7 @@ pub struct SnapshotView {
     pub extent: Arc<ViewExtent>,
 }
 
-impl Encode for SnapshotView {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.query.encode(out);
-        self.extent.encode(out);
-    }
-}
-
-impl Decode for SnapshotView {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SnapshotView {
-            name: String::decode(r)?,
-            query: String::decode(r)?,
-            extent: Arc::<ViewExtent>::decode(r)?,
-        })
-    }
-}
+wire::codec!(struct SnapshotView { name, query, extent });
 
 /// A full checkpoint of a catalog: the shared store plus every registered
 /// view (in registration order).
@@ -215,18 +199,7 @@ pub struct Snapshot {
     pub views: Vec<SnapshotView>,
 }
 
-impl Encode for Snapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.store.encode(out);
-        wire::put_slice(out, &self.views);
-    }
-}
-
-impl Decode for Snapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Snapshot { store: Store::decode(r)?, views: Vec::<SnapshotView>::decode(r)? })
-    }
-}
+wire::codec!(struct Snapshot { store, views });
 
 impl Snapshot {
     /// Capture the current state of `catalog` — a frozen epoch, not a

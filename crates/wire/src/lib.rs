@@ -15,10 +15,23 @@
 //! * byte strings / UTF-8 strings — varint length + raw bytes;
 //! * sequences — varint length + elements;
 //! * options — `0`/`1` presence byte + value;
-//! * enums — one tag byte + variant payload (each impl documents its tags).
+//! * enums — one tag byte + variant payload;
+//! * `Box`/`Arc` — transparent: the pointee's encoding.
 //!
 //! Values are *not* self-describing: reader and writer must agree on the
 //! type, which is what the framed record layer's version byte is for.
+//!
+//! ## One table per format: [`codec!`]
+//!
+//! A type's wire format is written down once, as a [`codec!`] table, and
+//! the macro derives both the [`Encode`] and the [`Decode`] impl from it,
+//! so the two halves cannot drift apart. The table *is* the format: a
+//! struct is its fields in wire order, an enum is one tag byte per
+//! variant followed by that variant's fields. Reordering a table, or
+//! renumbering a tag, changes the bytes on disk and on the wire.
+//!
+//! Only decoders that validate their input or rebuild private state
+//! (key segments, stores, update ops) are written by hand.
 //!
 //! ## Framed records
 //!
@@ -249,6 +262,19 @@ impl Decode for usize {
     }
 }
 
+impl Encode for u32 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, u64::from(*self));
+    }
+}
+
+impl Decode for u32 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let v = r.u64()?;
+        u32::try_from(v).map_err(|_| WireError::Invalid(format!("value {v} overflows u32")))
+    }
+}
+
 impl Encode for i64 {
     fn encode(&self, out: &mut Vec<u8>) {
         put_i64(out, *self);
@@ -277,7 +303,7 @@ impl Decode for bool {
     }
 }
 
-// xqcheck: allow(codec-pair) — unsized borrow; the owned `String` form carries the Decode side
+/// Encode-only: decoding produces the owned `String`.
 impl Encode for str {
     fn encode(&self, out: &mut Vec<u8>) {
         put_bytes(out, self.as_bytes());
@@ -309,8 +335,10 @@ impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.len_prefix()?;
         // Defensive pre-allocation bound: never trust a length prefix for
-        // more memory than the bytes that could plausibly back it.
-        let mut out = Vec::with_capacity(n.min(r.remaining().max(1)));
+        // more memory than the bytes that could plausibly back it. The cap
+        // is in bytes of remaining input, not in elements: a forged count
+        // over a 1 MiB frame must not reserve 1 Mi elements of `T`.
+        let mut out = Vec::with_capacity(n.min(r.remaining() / size_of::<T>().max(1)));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }
@@ -355,6 +383,20 @@ impl<T: Decode> Decode for std::sync::Arc<T> {
     }
 }
 
+/// `Box` is transparent on the wire, like `Arc`: recursive types box
+/// their children without changing the format.
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Box::new(T::decode(r)?))
+    }
+}
+
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -366,6 +408,98 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
+}
+
+/// Derive [`Encode`] and [`Decode`] for a type from one table that lists
+/// its wire format (see the [crate docs](crate#one-table-per-format-codec)).
+///
+/// * `codec!(struct T { a, b, c })` — the named fields, in wire order,
+///   each in its own type's encoding.
+/// * `codec!(enum T { 0 => Unit, 1 => Tuple(x, y), 2 => Named { a, b } })`
+///   — one tag byte, then the variant's fields in order. Tuple fields take
+///   binding names. An unknown tag decodes to [`WireError::Tag`] naming
+///   `T`.
+/// * `field as Bytes` — a `Vec<u8>` field written as one length-prefixed
+///   byte string ([`put_bytes`] / [`Reader::bytes`]): one bulk copy
+///   instead of a per-byte loop.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Step { axis: u64, name: String, payload: Vec<u8> }
+/// wire::codec!(struct Step { axis, name, payload as Bytes });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Dot, Line(u64), Box { w: u64, h: u64 } }
+/// wire::codec!(enum Shape { 0 => Dot, 1 => Line(len), 2 => Box { w, h } });
+///
+/// let s = Step { axis: 1, name: "b".into(), payload: vec![7, 8] };
+/// assert_eq!(wire::to_vec(&s), [1, 1, b'b', 2, 7, 8]);
+/// assert_eq!(wire::from_slice::<Step>(&wire::to_vec(&s)).unwrap(), s);
+/// assert_eq!(wire::to_vec(&Shape::Box { w: 2, h: 3 }), [2, 2, 3]);
+/// assert!(matches!(
+///     wire::from_slice::<Shape>(&[9]),
+///     Err(wire::WireError::Tag { type_name: "Shape", tag: 9 })
+/// ));
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (struct $ty:ident { $($field:ident $(as $adapter:ident)?),* $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $( $crate::codec!(@enc [$($adapter)?] out, &self.$field); )*
+            }
+        }
+
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok($ty { $( $field: $crate::codec!(@dec [$($adapter)?] r), )* })
+            }
+        }
+    };
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident
+            $(( $($pos:ident $(as $pos_adapter:ident)?),* ))?
+            $({ $($named:ident $(as $named_adapter:ident)?),* })?
+        ),* $(,)?
+    }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(( $($pos),* ))? $({ $($named),* })? => {
+                        out.push($tag);
+                        $($( $crate::codec!(@enc [$($pos_adapter)?] out, $pos); )*)?
+                        $($( $crate::codec!(@enc [$($named_adapter)?] out, $named); )*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok(match r.byte()? {
+                    $($tag => $ty::$variant
+                        $(( $($crate::codec!(@dec [$($pos_adapter)?] r)),* ))?
+                        $({ $($named: $crate::codec!(@dec [$($named_adapter)?] r)),* })?,
+                    )*
+                    tag => {
+                        return Err($crate::WireError::Tag { type_name: stringify!($ty), tag })
+                    }
+                })
+            }
+        }
+    };
+    (@enc [] $out:ident, $value:expr) => {
+        $crate::Encode::encode($value, $out)
+    };
+    (@enc [Bytes] $out:ident, $value:expr) => {
+        $crate::put_bytes($out, $value)
+    };
+    (@dec [] $r:ident) => {
+        $crate::Decode::decode($r)?
+    };
+    (@dec [Bytes] $r:ident) => {
+        $r.bytes()?.to_vec()
+    };
 }
 
 #[cfg(test)]
@@ -404,6 +538,20 @@ mod tests {
         roundtrip(Some(String::from("x")));
         roundtrip(Option::<String>::None);
         roundtrip(vec![true, false, true]);
+    }
+
+    #[test]
+    fn u32_and_box_roundtrip() {
+        roundtrip(u32::MAX);
+        roundtrip(Box::new(String::from("boxed")));
+        // Both are transparent: a u32 is a varint, a box its pointee.
+        assert_eq!(to_vec(&7u32), to_vec(&7u64));
+        assert_eq!(to_vec(&Box::new(9u64)), to_vec(&9u64));
+        let wide = to_vec(&(u64::from(u32::MAX) + 1));
+        assert_eq!(
+            from_slice::<u32>(&wide).unwrap_err(),
+            WireError::Invalid("value 4294967296 overflows u32".into())
+        );
     }
 
     #[test]

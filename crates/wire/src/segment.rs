@@ -21,7 +21,7 @@
 //! is discarded by the ordinary frame rules. The manifest counts let a
 //! reader assert the sealed prefix is complete rather than assume it.
 
-use crate::{put_u64, Decode, Encode, Reader, WireError};
+use crate::{Decode, Encode, Reader, WireError};
 
 /// The seal/manifest closing one log segment (see the [module docs](self)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,25 +36,7 @@ pub struct SealRecord {
     pub bytes: u64,
 }
 
-impl Encode for SealRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.sealed_gen);
-        put_u64(out, self.next_gen);
-        put_u64(out, self.records);
-        put_u64(out, self.bytes);
-    }
-}
-
-impl Decode for SealRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SealRecord {
-            sealed_gen: r.u64()?,
-            next_gen: r.u64()?,
-            records: r.u64()?,
-            bytes: r.u64()?,
-        })
-    }
-}
+crate::codec!(struct SealRecord { sealed_gen, next_gen, records, bytes });
 
 /// One record of a chained log segment: an opaque payload (tag `0`) or the
 /// segment seal (tag `1`).

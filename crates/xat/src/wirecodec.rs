@@ -2,54 +2,19 @@
 //! persists each view's [`ViewExtent`] verbatim (semantic ids, count
 //! annotations, and result order), so recovery reinstalls extents without
 //! recomputing them.
-//!
-//! Encodings:
-//!
-//! * [`VNode`] — semantic id + node data + signed count + child sequence
-//!   (recursive, children in result order);
-//! * [`ViewExtent`] — root sequence.
 
 use crate::extent::{VNode, ViewExtent};
-use flexkey::SemId;
-use wire::{put_slice, Decode, Encode, Reader, WireError};
-use xmlstore::NodeData;
+use wire::codec;
 
-impl Encode for VNode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sem.encode(out);
-        self.data.encode(out);
-        self.count.encode(out);
-        put_slice(out, &self.children);
-    }
-}
-
-impl Decode for VNode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VNode {
-            sem: SemId::decode(r)?,
-            data: NodeData::decode(r)?,
-            count: r.i64()?,
-            children: Vec::<VNode>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for ViewExtent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_slice(out, &self.roots);
-    }
-}
-
-impl Decode for ViewExtent {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ViewExtent { roots: Vec::<VNode>::decode(r)? })
-    }
-}
+codec!(struct VNode { sem, data, count, children });
+codec!(struct ViewExtent { roots });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexkey::{FlexKey, LngAtom, OrdAtom, OrdKey};
+    use flexkey::{FlexKey, LngAtom, OrdAtom, OrdKey, SemId};
+    use wire::{Decode, Encode};
+    use xmlstore::NodeData;
 
     fn rt<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         assert_eq!(wire::from_slice::<T>(&wire::to_vec(&v)).unwrap(), v);

@@ -3,14 +3,8 @@
 //! whole [`Store`] (documents, key maps, count annotations, and the
 //! root-segment allocation cursor) without reaching into its internals.
 //!
-//! Encodings (enum tag bytes noted per type):
-//!
-//! * [`NodeData`] — `0` Element (name + attr pairs), `1` Text;
-//! * [`Node`] — data + signed derivation count;
-//! * [`Frag`] — data + count + child sequence (recursive);
-//! * [`Doc`] — name, root key, FlexKey→Node entries in key order;
-//! * [`Store`] — documents in name order + `next_root` cursor.
-//!
+//! A [`Doc`] is its name, root key, and FlexKey→Node entries in key order;
+//! a [`Store`] is its documents in name order plus the `next_root` cursor.
 //! Decoding re-validates what the in-memory constructors would: segment
 //! alphabets come back through [`flexkey`]'s validating codec, strings
 //! through UTF-8 checks. Map entries re-collect into `BTreeMap`s, so even
@@ -20,63 +14,11 @@ use crate::frag::{Frag, NodeData};
 use crate::store::{Doc, Node, Store};
 use flexkey::FlexKey;
 use std::collections::BTreeMap;
-use wire::{put_slice, put_u64, Decode, Encode, Reader, WireError};
+use wire::{codec, put_u64, Decode, Encode, Reader, WireError};
 
-impl Encode for NodeData {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            NodeData::Element { name, attrs } => {
-                out.push(0);
-                name.encode(out);
-                put_slice(out, attrs);
-            }
-            NodeData::Text { value } => {
-                out.push(1);
-                value.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for NodeData {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(NodeData::Element {
-                name: String::decode(r)?,
-                attrs: Vec::<(String, String)>::decode(r)?,
-            }),
-            1 => Ok(NodeData::Text { value: String::decode(r)? }),
-            tag => Err(WireError::Tag { type_name: "NodeData", tag }),
-        }
-    }
-}
-
-impl Encode for Node {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.data.encode(out);
-        self.count.encode(out);
-    }
-}
-
-impl Decode for Node {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Node { data: NodeData::decode(r)?, count: r.i64()? })
-    }
-}
-
-impl Encode for Frag {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.data.encode(out);
-        self.count.encode(out);
-        put_slice(out, &self.children);
-    }
-}
-
-impl Decode for Frag {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Frag { data: NodeData::decode(r)?, count: r.i64()?, children: Vec::<Frag>::decode(r)? })
-    }
-}
+codec!(enum NodeData { 0 => Element { name, attrs }, 1 => Text { value } });
+codec!(struct Node { data, count });
+codec!(struct Frag { data, count, children });
 
 impl Encode for Doc {
     fn encode(&self, out: &mut Vec<u8>) {

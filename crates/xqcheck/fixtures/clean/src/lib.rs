@@ -1,6 +1,6 @@
 //! Clean fixture: exercises every lint's pass path — a justified
 //! `unsafe`, an audited atomic, schema-registered metrics (literal and
-//! dynamic), a paired codec, and an explicitly allowed exception.
+//! dynamic), and an explicitly allowed exception.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -25,38 +25,6 @@ impl Counter {
 
 impl Histogram {
     pub fn record(&self, _v: u64) {}
-}
-
-pub trait Encode {
-    fn encode(&self, out: &mut Vec<u8>);
-}
-
-pub trait Decode: Sized {
-    fn decode(buf: &[u8]) -> Option<Self>;
-}
-
-pub struct Pair(pub u64);
-
-impl Encode for Pair {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_le_bytes());
-    }
-}
-
-impl Decode for Pair {
-    fn decode(buf: &[u8]) -> Option<Self> {
-        Some(Pair(u64::from_le_bytes(buf.get(..8)?.try_into().ok()?)))
-    }
-}
-
-/// A borrowed mirror that only ever travels outbound.
-pub struct PairRef<'a>(pub &'a u64);
-
-// xqcheck: allow(codec-pair) — outbound-only borrowed mirror of Pair
-impl Encode for PairRef<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_le_bytes());
-    }
 }
 
 pub fn stop(flag: &AtomicBool) {

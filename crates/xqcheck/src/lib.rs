@@ -15,8 +15,6 @@
 //! - **metrics-schema** — every `obs` metric name used in source
 //!   appears in `ci/obs-schema.txt` and vice versa, so the CI smoke
 //!   assertions and the code cannot drift.
-//! - **codec-pair** — every type with a `wire::Encode` impl has a
-//!   matching `Decode` impl: wire types must round-trip.
 //!
 //! Suppression is explicit and justified:
 //! `// xqcheck: allow(lint-name) — reason`. The crate is dependency-free

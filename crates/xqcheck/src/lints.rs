@@ -7,7 +7,7 @@
 
 use crate::lexer::Tok;
 use crate::source::{Section, SourceFile, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Relative path of the atomic-ordering audit table.
@@ -466,129 +466,6 @@ pub fn metrics_schema(ws: &Workspace) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------
-// Lint 5: codec-pair — every `wire::Encode` impl has a matching
-// `Decode` impl (and vice versa).
-// ---------------------------------------------------------------------
-
-/// One `impl … Encode/Decode for Target` site.
-pub struct CodecImpl<'a> {
-    pub file: &'a SourceFile,
-    pub line: u32,
-    pub trait_name: String,
-    /// Whitespace-normalized target type text.
-    pub target: String,
-}
-
-pub fn codec_impls(ws: &Workspace) -> Vec<CodecImpl<'_>> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        if f.section != Section::Src {
-            continue;
-        }
-        let code = code_tokens(f);
-        let mut i = 0;
-        while i < code.len() {
-            if !is_word(code.get(i), "impl") {
-                i += 1;
-                continue;
-            }
-            let impl_line = code[i].0;
-            let mut j = i + 1;
-            // Skip the generic parameter list, if any.
-            if is_punct(code.get(j), '<') {
-                let mut d = 1;
-                j += 1;
-                while j < code.len() && d > 0 {
-                    if is_punct(code.get(j), '<') {
-                        d += 1;
-                    } else if is_punct(code.get(j), '>') {
-                        d -= 1;
-                    }
-                    j += 1;
-                }
-            }
-            // Collect the trait path up to `for` (bounded: a non-trait
-            // impl block has `{` first).
-            let mut trait_words: Vec<String> = Vec::new();
-            let mut k = j;
-            let mut saw_for = false;
-            while k < code.len() && k < j + 12 {
-                match code[k].1 {
-                    Tok::Word(w) if w == "for" => {
-                        saw_for = true;
-                        break;
-                    }
-                    Tok::Punct('{') | Tok::Punct(';') => break,
-                    Tok::Word(w) => trait_words.push(w.clone()),
-                    _ => {}
-                }
-                k += 1;
-            }
-            let trait_name = trait_words.last().cloned().unwrap_or_default();
-            if !saw_for || (trait_name != "Encode" && trait_name != "Decode") {
-                i = j;
-                continue;
-            }
-            // Render the target type up to `{` or `where`.
-            let mut target = String::new();
-            let mut m = k + 1;
-            while m < code.len() {
-                match code[m].1 {
-                    Tok::Punct('{') => break,
-                    Tok::Word(w) if w == "where" => break,
-                    Tok::Word(w) => target.push_str(w),
-                    Tok::Punct(p) => target.push(*p),
-                    Tok::Lifetime => target.push_str("'_"),
-                    _ => {}
-                }
-                m += 1;
-            }
-            // `?Sized` bounds never appear in the target position; strip
-            // nothing further — exact text is the pairing key.
-            out.push(CodecImpl { file: f, line: impl_line, trait_name, target });
-            i = m;
-        }
-    }
-    out
-}
-
-pub fn codec_pair(ws: &Workspace) -> Vec<Finding> {
-    let impls = codec_impls(ws);
-    let mut by_target: BTreeMap<&str, (bool, bool)> = BTreeMap::new();
-    for im in &impls {
-        let e = by_target.entry(im.target.as_str()).or_default();
-        if im.trait_name == "Encode" {
-            e.0 = true;
-        } else {
-            e.1 = true;
-        }
-    }
-    let mut out = Vec::new();
-    for im in &impls {
-        let (has_enc, has_dec) = by_target[im.target.as_str()];
-        let missing = match im.trait_name.as_str() {
-            "Encode" if !has_dec => "Decode",
-            "Decode" if !has_enc => "Encode",
-            _ => continue,
-        };
-        if im.file.allowed("codec-pair", im.line) {
-            continue;
-        }
-        out.push(finding(
-            "codec-pair",
-            im.file,
-            im.line,
-            format!(
-                "`{}` has an `{}` impl but no `{missing}` impl — wire types must round-trip \
-                 (decode-side validation is the recovery path's input filter)",
-                im.target, im.trait_name
-            ),
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 
 /// One lint entry: name plus the pass over a parsed workspace.
 pub type Lint = (&'static str, fn(&Workspace) -> Vec<Finding>);
@@ -599,7 +476,6 @@ pub const LINTS: &[Lint] = &[
     ("no-panic", no_panic),
     ("atomics-audit", atomics_audit),
     ("metrics-schema", metrics_schema),
-    ("codec-pair", codec_pair),
 ];
 
 /// Run one lint by name, or all of them.

@@ -16,7 +16,6 @@ pub const CASES: &[(&str, Option<&str>)] = &[
     ("unwrap_in_server", Some("no-panic")),
     ("unregistered_atomic", Some("atomics-audit")),
     ("metric_drift", Some("metrics-schema")),
-    ("encode_no_decode", Some("codec-pair")),
     ("clean", None),
 ];
 

@@ -4,463 +4,49 @@
 //! stack applies, so recovery replays through the same `apply_batch` path
 //! as live ingestion.
 //!
-//! Encodings (enum tag bytes noted per type):
-//!
-//! * [`Axis`] — `0` Child, `1` Descendant;
-//! * [`NodeTest`] — `0` Name, `1` Attr, `2` Text, `3` Wildcard;
-//! * [`StepPredicate`] — `0` Cmp, `1` Position;
-//! * [`PathSource`] — `0` Doc, `1` Var;
-//! * [`CmpOp`] — `0`–`5` in declaration order;
-//! * [`AggFunc`] — `0`–`4` in declaration order;
-//! * [`BoolExpr`] — `0` Cmp, `1` And;
-//! * [`AttrValue`] — `0` Literal, `1` Expr;
-//! * [`Expr`] — `0` Path, `1` Var, `2` DistinctValues, `3` Agg,
-//!   `4` Flwor, `5` Elem, `6` Seq, `7` Literal, `8` Number;
-//! * [`InsertPosition`] — `0` Before, `1` After, `2` Into;
-//! * [`OpAction`] — `0` Insert, `1` Delete, `2` ReplaceText;
-//! * [`UpdateOp`] — var, doc, path, optional filter, action;
-//! * [`UpdateBatch`] — op sequence in application order.
-//!
 //! The full [`Expr`] grammar is covered (not just the comparison subset
 //! update filters use today), so any AST a parsed statement can carry
-//! round-trips losslessly.
+//! round-trips losslessly. [`UpdateOp`] and [`UpdateBatch`] keep their
+//! fields private, so their impls are written out by hand.
 
 use crate::ast::{
     AggFunc, AttrValue, Axis, BoolExpr, CmpOp, ElemCons, Expr, Flwor, ForBind, NodeTest, OrderSpec,
     PathExpr, PathSource, Step, StepPredicate,
 };
 use crate::ops::{InsertPosition, OpAction, UpdateBatch, UpdateOp};
-use wire::{put_slice, Decode, Encode, Reader, WireError};
+use wire::{codec, put_slice, Decode, Encode, Reader, WireError};
 
-impl Encode for Axis {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Axis::Child => 0,
-            Axis::Descendant => 1,
-        });
-    }
-}
-
-impl Decode for Axis {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(Axis::Child),
-            1 => Ok(Axis::Descendant),
-            tag => Err(WireError::Tag { type_name: "Axis", tag }),
-        }
-    }
-}
-
-impl Encode for NodeTest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            NodeTest::Name(n) => {
-                out.push(0);
-                n.encode(out);
-            }
-            NodeTest::Attr(n) => {
-                out.push(1);
-                n.encode(out);
-            }
-            NodeTest::Text => out.push(2),
-            NodeTest::Wildcard => out.push(3),
-        }
-    }
-}
-
-impl Decode for NodeTest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(NodeTest::Name(String::decode(r)?)),
-            1 => Ok(NodeTest::Attr(String::decode(r)?)),
-            2 => Ok(NodeTest::Text),
-            3 => Ok(NodeTest::Wildcard),
-            tag => Err(WireError::Tag { type_name: "NodeTest", tag }),
-        }
-    }
-}
-
-impl Encode for StepPredicate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            StepPredicate::Cmp { path, op, value } => {
-                out.push(0);
-                put_slice(out, path);
-                op.encode(out);
-                value.encode(out);
-            }
-            StepPredicate::Position(p) => {
-                out.push(1);
-                p.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for StepPredicate {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(StepPredicate::Cmp {
-                path: Vec::<Step>::decode(r)?,
-                op: CmpOp::decode(r)?,
-                value: String::decode(r)?,
-            }),
-            1 => Ok(StepPredicate::Position(usize::decode(r)?)),
-            tag => Err(WireError::Tag { type_name: "StepPredicate", tag }),
-        }
-    }
-}
-
-impl Encode for Step {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.axis.encode(out);
-        self.test.encode(out);
-        self.predicate.encode(out);
-    }
-}
-
-impl Decode for Step {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Step {
-            axis: Axis::decode(r)?,
-            test: NodeTest::decode(r)?,
-            predicate: Option::<StepPredicate>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for PathSource {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PathSource::Doc(d) => {
-                out.push(0);
-                d.encode(out);
-            }
-            PathSource::Var(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for PathSource {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(PathSource::Doc(String::decode(r)?)),
-            1 => Ok(PathSource::Var(String::decode(r)?)),
-            tag => Err(WireError::Tag { type_name: "PathSource", tag }),
-        }
-    }
-}
-
-impl Encode for PathExpr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.source.encode(out);
-        put_slice(out, &self.steps);
-    }
-}
-
-impl Decode for PathExpr {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PathExpr { source: PathSource::decode(r)?, steps: Vec::<Step>::decode(r)? })
-    }
-}
-
-impl Encode for CmpOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            CmpOp::Eq => 0,
-            CmpOp::Ne => 1,
-            CmpOp::Lt => 2,
-            CmpOp::Le => 3,
-            CmpOp::Gt => 4,
-            CmpOp::Ge => 5,
-        });
-    }
-}
-
-impl Decode for CmpOp {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => CmpOp::Eq,
-            1 => CmpOp::Ne,
-            2 => CmpOp::Lt,
-            3 => CmpOp::Le,
-            4 => CmpOp::Gt,
-            5 => CmpOp::Ge,
-            tag => return Err(WireError::Tag { type_name: "CmpOp", tag }),
-        })
-    }
-}
-
-impl Encode for AggFunc {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            AggFunc::Count => 0,
-            AggFunc::Sum => 1,
-            AggFunc::Avg => 2,
-            AggFunc::Min => 3,
-            AggFunc::Max => 4,
-        });
-    }
-}
-
-impl Decode for AggFunc {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => AggFunc::Count,
-            1 => AggFunc::Sum,
-            2 => AggFunc::Avg,
-            3 => AggFunc::Min,
-            4 => AggFunc::Max,
-            tag => return Err(WireError::Tag { type_name: "AggFunc", tag }),
-        })
-    }
-}
-
-impl Encode for BoolExpr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BoolExpr::Cmp { lhs, op, rhs } => {
-                out.push(0);
-                lhs.encode(out);
-                op.encode(out);
-                rhs.encode(out);
-            }
-            BoolExpr::And(a, b) => {
-                out.push(1);
-                a.encode(out);
-                b.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for BoolExpr {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(BoolExpr::Cmp {
-                lhs: Expr::decode(r)?,
-                op: CmpOp::decode(r)?,
-                rhs: Expr::decode(r)?,
-            }),
-            1 => Ok(BoolExpr::And(Box::new(BoolExpr::decode(r)?), Box::new(BoolExpr::decode(r)?))),
-            tag => Err(WireError::Tag { type_name: "BoolExpr", tag }),
-        }
-    }
-}
-
-impl Encode for OrderSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.expr.encode(out);
-        self.descending.encode(out);
-    }
-}
-
-impl Decode for OrderSpec {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OrderSpec { expr: Expr::decode(r)?, descending: bool::decode(r)? })
-    }
-}
-
-impl Encode for ForBind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.var.encode(out);
-        self.source.encode(out);
-    }
-}
-
-impl Decode for ForBind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ForBind { var: String::decode(r)?, source: Expr::decode(r)? })
-    }
-}
-
-impl Encode for Flwor {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_slice(out, &self.fors);
-        put_slice(out, &self.lets);
-        self.where_.encode(out);
-        put_slice(out, &self.order_by);
-        self.ret.encode(out);
-    }
-}
-
-impl Decode for Flwor {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Flwor {
-            fors: Vec::<ForBind>::decode(r)?,
-            lets: Vec::<(String, Expr)>::decode(r)?,
-            where_: Option::<BoolExpr>::decode(r)?,
-            order_by: Vec::<OrderSpec>::decode(r)?,
-            ret: Option::<Expr>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for AttrValue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AttrValue::Literal(s) => {
-                out.push(0);
-                s.encode(out);
-            }
-            AttrValue::Expr(e) => {
-                out.push(1);
-                e.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for AttrValue {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(AttrValue::Literal(String::decode(r)?)),
-            1 => Ok(AttrValue::Expr(Expr::decode(r)?)),
-            tag => Err(WireError::Tag { type_name: "AttrValue", tag }),
-        }
-    }
-}
-
-impl Encode for ElemCons {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        put_slice(out, &self.attrs);
-        put_slice(out, &self.children);
-    }
-}
-
-impl Decode for ElemCons {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ElemCons {
-            name: String::decode(r)?,
-            attrs: Vec::<(String, AttrValue)>::decode(r)?,
-            children: Vec::<Expr>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Expr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Expr::Path(p) => {
-                out.push(0);
-                p.encode(out);
-            }
-            Expr::Var(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            Expr::DistinctValues(e) => {
-                out.push(2);
-                e.encode(out);
-            }
-            Expr::Agg { func, arg } => {
-                out.push(3);
-                func.encode(out);
-                arg.encode(out);
-            }
-            Expr::Flwor(f) => {
-                out.push(4);
-                f.encode(out);
-            }
-            Expr::Elem(c) => {
-                out.push(5);
-                c.encode(out);
-            }
-            Expr::Seq(es) => {
-                out.push(6);
-                put_slice(out, es);
-            }
-            Expr::Literal(s) => {
-                out.push(7);
-                s.encode(out);
-            }
-            Expr::Number(n) => {
-                out.push(8);
-                n.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Expr {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(Expr::Path(PathExpr::decode(r)?)),
-            1 => Ok(Expr::Var(String::decode(r)?)),
-            2 => Ok(Expr::DistinctValues(Box::new(Expr::decode(r)?))),
-            3 => Ok(Expr::Agg { func: AggFunc::decode(r)?, arg: Box::new(Expr::decode(r)?) }),
-            4 => Ok(Expr::Flwor(Box::new(Flwor::decode(r)?))),
-            5 => Ok(Expr::Elem(Box::new(ElemCons::decode(r)?))),
-            6 => Ok(Expr::Seq(Vec::<Expr>::decode(r)?)),
-            7 => Ok(Expr::Literal(String::decode(r)?)),
-            8 => Ok(Expr::Number(String::decode(r)?)),
-            tag => Err(WireError::Tag { type_name: "Expr", tag }),
-        }
-    }
-}
-
-impl Encode for InsertPosition {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            InsertPosition::Before => 0,
-            InsertPosition::After => 1,
-            InsertPosition::Into => 2,
-        });
-    }
-}
-
-impl Decode for InsertPosition {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.byte()? {
-            0 => InsertPosition::Before,
-            1 => InsertPosition::After,
-            2 => InsertPosition::Into,
-            tag => return Err(WireError::Tag { type_name: "InsertPosition", tag }),
-        })
-    }
-}
-
-impl Encode for OpAction {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            OpAction::Insert { position, fragment_xml } => {
-                out.push(0);
-                position.encode(out);
-                fragment_xml.encode(out);
-            }
-            OpAction::Delete { rel_path } => {
-                out.push(1);
-                put_slice(out, rel_path);
-            }
-            OpAction::ReplaceText { rel_path, new_value } => {
-                out.push(2);
-                put_slice(out, rel_path);
-                new_value.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for OpAction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(OpAction::Insert {
-                position: InsertPosition::decode(r)?,
-                fragment_xml: String::decode(r)?,
-            }),
-            1 => Ok(OpAction::Delete { rel_path: Vec::<Step>::decode(r)? }),
-            2 => Ok(OpAction::ReplaceText {
-                rel_path: Vec::<Step>::decode(r)?,
-                new_value: String::decode(r)?,
-            }),
-            tag => Err(WireError::Tag { type_name: "OpAction", tag }),
-        }
-    }
-}
+codec!(enum Axis { 0 => Child, 1 => Descendant });
+codec!(enum NodeTest { 0 => Name(n), 1 => Attr(n), 2 => Text, 3 => Wildcard });
+codec!(enum StepPredicate { 0 => Cmp { path, op, value }, 1 => Position(p) });
+codec!(struct Step { axis, test, predicate });
+codec!(enum PathSource { 0 => Doc(d), 1 => Var(v) });
+codec!(struct PathExpr { source, steps });
+codec!(enum CmpOp { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Le, 4 => Gt, 5 => Ge });
+codec!(enum AggFunc { 0 => Count, 1 => Sum, 2 => Avg, 3 => Min, 4 => Max });
+codec!(enum BoolExpr { 0 => Cmp { lhs, op, rhs }, 1 => And(a, b) });
+codec!(struct OrderSpec { expr, descending });
+codec!(struct ForBind { var, source });
+codec!(struct Flwor { fors, lets, where_, order_by, ret });
+codec!(enum AttrValue { 0 => Literal(s), 1 => Expr(e) });
+codec!(struct ElemCons { name, attrs, children });
+codec!(enum Expr {
+    0 => Path(p),
+    1 => Var(v),
+    2 => DistinctValues(e),
+    3 => Agg { func, arg },
+    4 => Flwor(f),
+    5 => Elem(c),
+    6 => Seq(es),
+    7 => Literal(s),
+    8 => Number(n),
+});
+codec!(enum InsertPosition { 0 => Before, 1 => After, 2 => Into });
+codec!(enum OpAction {
+    0 => Insert { position, fragment_xml },
+    1 => Delete { rel_path },
+    2 => ReplaceText { rel_path, new_value },
+});
 
 impl Encode for UpdateOp {
     fn encode(&self, out: &mut Vec<u8>) {

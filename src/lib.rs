@@ -58,8 +58,8 @@
 //! Every storage layer implements the [`wire`] `Encode`/`Decode` codec for
 //! its own types (`flexkey` keys and semantic ids, `xmlstore`
 //! nodes/documents/stores, `xat` view extents, `xquery_lang` typed update
-//! batches) — serialization lives with the types, journaling lives with
-//! the service.
+//! batches), each format written once as a [`wire::codec!`] table —
+//! serialization lives with the types, journaling lives with the service.
 //!
 //! ## Many views, one store
 //!

@@ -10,9 +10,10 @@
 //! difference is a format change, which breaks existing logs, snapshots
 //! and peers.
 //!
-//! To rewrite the golden file after a *deliberate* format change (which
-//! also needs a frame-version or protocol-version bump), run
-//! `WIRE_GOLDEN_BLESS=1 cargo test --test wire_golden` and commit the diff.
+//! On a mismatch the test writes the fresh dump next to the build output
+//! and names its path. After a *deliberate* format change (which also
+//! needs a frame-version or protocol-version bump), copy that dump over
+//! the golden file and commit the diff.
 
 use proto::{
     CommitReceipt, ErrorKind, HistogramSummary, Request, Response, ServerStats, WireErr,
@@ -90,55 +91,35 @@ const FULL_GRAMMAR: &str = r#"<result>{
 }</result>"#;
 
 fn mixed_batch() -> UpdateBatch {
-    UpdateBatch::new()
-        .with(
-            UpdateOp::insert(
-                "bib.xml",
-                "/bib",
-                InsertPosition::Into,
-                r#"<book year="2001"><title>New</title></book>"#,
-            )
-            .unwrap(),
+    let built = [
+        UpdateOp::insert(
+            "bib.xml",
+            "/bib",
+            InsertPosition::Into,
+            r#"<book year="2001"><title>New</title></book>"#,
         )
-        .with(
-            UpdateOp::insert(
-                "bib.xml",
-                "/bib/book[1]",
-                InsertPosition::Before,
-                r#"<book year="1990"><title>Early</title></book>"#,
-            )
-            .unwrap(),
+        .unwrap(),
+        UpdateOp::insert(
+            "bib.xml",
+            "/bib/book[1]",
+            InsertPosition::Before,
+            r#"<book year="1990"><title>Early</title></book>"#,
         )
-        .with(UpdateOp::delete("bib.xml", "/bib/book[2]").unwrap())
-        .with(
-            UpdateOp::replace_text("prices.xml", "/prices/entry", "price/text()", "9.99")
-                .unwrap()
-                .filter("b-title", CmpOp::Eq, "Data on the Web")
-                .unwrap(),
-        )
-        .extend_script(
-            r#"for $b in document("bib.xml")//book
-               where $b/@year = "1994" and $b/title = "Advanced Unix"
-               update $b insert <note>n</note> after $b ;
-               for $b in doc("bib.xml")/bib/book update $b delete $b/author"#,
-        )
-}
-
-/// `UpdateBatch` has no script-append builder; this keeps `mixed_batch`
-/// one expression.
-trait ExtendScript {
-    fn extend_script(self, script: &str) -> UpdateBatch;
-}
-
-impl ExtendScript for UpdateBatch {
-    fn extend_script(self, script: &str) -> UpdateBatch {
-        UpdateBatch::from_script(script)
+        .unwrap(),
+        UpdateOp::delete("bib.xml", "/bib/book[2]").unwrap(),
+        UpdateOp::replace_text("prices.xml", "/prices/entry", "price/text()", "9.99")
             .unwrap()
-            .ops()
-            .iter()
-            .cloned()
-            .fold(self, UpdateBatch::with)
-    }
+            .filter("b-title", CmpOp::Eq, "Data on the Web")
+            .unwrap(),
+    ];
+    let parsed = UpdateBatch::from_script(
+        r#"for $b in document("bib.xml")//book
+           where $b/@year = "1994" and $b/title = "Advanced Unix"
+           update $b insert <note>n</note> after $b ;
+           for $b in doc("bib.xml")/bib/book update $b delete $b/author"#,
+    )
+    .unwrap();
+    built.into_iter().chain(parsed.ops().iter().cloned()).collect()
 }
 
 fn all_error_kinds() -> Vec<(&'static str, ErrorKind)> {
@@ -376,17 +357,25 @@ fn golden_path() -> PathBuf {
 #[test]
 fn encodings_match_the_golden_file() {
     let (_, dump) = corpus();
-    let path = golden_path();
-    if std::env::var_os("WIRE_GOLDEN_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &dump).unwrap();
-        return;
+    let golden = std::fs::read_to_string(golden_path()).unwrap();
+    if dump != golden {
+        let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire.txt");
+        std::fs::write(&fresh, &dump).unwrap();
+        let want: Vec<&str> = golden.lines().collect();
+        let got: Vec<&str> = dump.lines().collect();
+        let line = (0..want.len().max(got.len()))
+            .find(|&i| want.get(i) != got.get(i))
+            .unwrap_or(want.len());
+        panic!(
+            "wire encodings differ from {} at line {}:\n  golden: {:?}\n  now:    {:?}\n\
+             fresh dump written to {}",
+            golden_path().display(),
+            line + 1,
+            want.get(line),
+            got.get(line),
+            fresh.display()
+        );
     }
-    let golden = std::fs::read_to_string(&path).unwrap();
-    for (i, (want, got)) in golden.lines().zip(dump.lines()).enumerate() {
-        assert_eq!(got, want, "golden line {} differs", i + 1);
-    }
-    assert_eq!(dump.lines().count(), golden.lines().count(), "golden line count differs");
 }
 
 #[test]
